@@ -131,10 +131,12 @@ func NewLab(opts Options) *Lab {
 // to the receiver's: the machine forks (see sim.Machine.Fork) and the
 // lab-level RNG clones at its exact stream position. Forking a pristine
 // lab is observably equivalent to NewLab with the same options — the
-// property the fork-vs-fresh differential suite gates — while forking a
-// warmed lab shares the warm prefix with the parent at the cost of a few
-// slice copies. Tracing is re-enabled on the fork's own hub when the
-// parent had it on; the retained parent trace is not carried over.
+// property the fork-vs-fresh differential suite gates — and forking a lab
+// that has already run continues from its state without replaying its
+// history. The campaign drivers boot every point with NewLab; Fork is for
+// callers that branch one lab into several. Tracing is re-enabled on the
+// fork's own hub when the parent had it on; the retained parent trace is
+// not carried over.
 func (l *Lab) Fork() (*Lab, error) {
 	fm, err := l.m.Fork()
 	if err != nil {
@@ -147,16 +149,6 @@ func (l *Lab) Fork() (*Lab, error) {
 		fm.Telemetry().EnableTrace(l.traceCap)
 	}
 	return f, nil
-}
-
-// MustFork is Fork that panics on failure (a mid-run fork is a programming
-// error).
-func (l *Lab) MustFork() *Lab {
-	f, err := l.Fork()
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // Machine exposes the underlying simulator for advanced use (building

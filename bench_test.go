@@ -268,33 +268,20 @@ func BenchmarkSGXLeak(b *testing.B) {
 	b.ReportMetric(rate*100, "success-%")
 }
 
-// benchSweep runs one full fault-sweep campaign — the hotpathSweepOptions
-// ladder (five intensities over the V1 cross-thread attack) with a 400k-load
-// preconditioning trace per point — under the given execution mode. The two
-// modes are bit-identical point for point (gated by the fork-vs-fresh
-// differential suite, warmup included), so the pair measures exactly the
-// snapshot-fork saving: the fresh mode boots AND re-warms every point, the
-// forked mode warms one template per campaign and deep-copies it per point.
-func benchSweep(b *testing.B, mode SweepExecMode) {
+// BenchmarkSweep runs one full fault-sweep campaign — the
+// hotpathSweepOptions ladder (five intensities over the V1 cross-thread
+// attack) — per iteration, each point on a freshly booted lab, exactly as
+// RunFaultSweep and the service execute it.
+func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o := hotpathSweepOptions()
-		o.Warmup = 400_000
-		o.Execution = mode
 		res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(o)
 		if len(res.Points) != len(o.Intensities) {
 			b.Fatalf("sweep returned %d points, want %d", len(res.Points), len(o.Intensities))
 		}
 	}
 }
-
-// BenchmarkSweepForked measures the default campaign path: one warmed
-// template, one Machine.Fork per point.
-func BenchmarkSweepForked(b *testing.B) { benchSweep(b, SweepForked) }
-
-// BenchmarkSweepFresh is the pre-fork behaviour (a full lab boot per point),
-// kept as the baseline the forked mode is compared against.
-func BenchmarkSweepFresh(b *testing.B) { benchSweep(b, SweepFresh) }
 
 // BenchmarkV1TelemetryOff measures the full Variant-1 attack with telemetry
 // in its default state: phase accounting on (always), event recording off.

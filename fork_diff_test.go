@@ -1,18 +1,16 @@
 package afterimage
 
-// Fork-vs-fresh differential suite: snapshot-fork execution must be
+// Fork-vs-fresh differential suite: executing on a forked machine must be
 // observationally indistinguishable from booting fresh. Every check here
 // gates against the SAME seed-path goldens as the hot-path differential
 // suite (testdata/hotpath_golden.json) — recorded before forking existed —
 // so a fork that leaks state from its parent, shares a mutable slice, or
 // perturbs an RNG stream diverges from a reference it cannot regenerate.
-// Three legs mirror the hot-path suite:
+// Two legs mirror the hot-path suite (whose fault-sweep leg already runs
+// the one, fresh-per-point sweep path against the same goldens):
 //
-//   - every Table 3 experiment run on a lab FORKED from a pristine template
+//   - every Table 3 experiment run on a lab FORKED from a pristine lab
 //     must reproduce the fresh-lab machine digest bit-for-bit,
-//   - the fault-sweep campaign must produce identical per-point digests
-//     under Execution: SweepFresh and Execution: SweepForked (the default,
-//     which TestHotPathDifferentialFaultSweep already gates),
 //   - the randomized traces must digest identically when the machine is
 //     forked mid-trace and the suffix replayed on the fork — and the parent,
 //     continued past the fork, must digest identically too (isolation).
@@ -100,8 +98,7 @@ func TestForkDifferentialRandomTraces(t *testing.T) {
 }
 
 // TestForkDifferentialTable3 runs every Table 3 experiment on a lab forked
-// from a pristine template — the exact execution shape RunFaultSweep's
-// forked mode uses — and requires each final machine digest to match the
+// from a pristine lab and requires each final machine digest to match the
 // fresh-lab seed-path golden. The final audit runs on the forked machine,
 // so the invariant registry (including mem.spaces) sees fork-built state.
 func TestForkDifferentialTable3(t *testing.T) {
@@ -109,10 +106,12 @@ func TestForkDifferentialTable3(t *testing.T) {
 	want := loadHotpathGolden(t).Table3
 	got := map[string]string{}
 	for i, spec := range table3Specs(opts) {
-		tmpl := NewLab(table3LabOptions(opts, i, spec.key))
-		lab := tmpl.MustFork()
+		lab, err := NewLab(table3LabOptions(opts, i, spec.key)).Fork()
+		if err != nil {
+			t.Fatalf("%s: fork: %v", spec.key, err)
+		}
 		lab.ArmCancel(context.Background())
-		_, err := spec.run(context.Background(), lab)
+		_, err = spec.run(context.Background(), lab)
 		if err == nil {
 			err = lab.m.Audit()
 		}
@@ -132,80 +131,39 @@ func TestForkDifferentialTable3(t *testing.T) {
 }
 
 // TestForkDifferentialFaultSweepFresh runs the golden fault-sweep campaign
-// with Execution: SweepFresh and requires every point digest to match the
-// recorded seed path. Together with TestHotPathDifferentialFaultSweep —
-// which runs the default SweepForked mode against the same goldens — this
-// pins the two execution modes bit-identical end to end (scheduler, noise,
-// fault perturbation and audit paths included).
+// from a forked lab that has already run it once, and requires every point
+// digest to match the recorded seed path. The sweep boots a fresh lab per
+// point from the caller's options, so neither forking the caller nor a
+// prior campaign on it may leak into any point.
 func TestForkDifferentialFaultSweepFresh(t *testing.T) {
-	o := hotpathSweepOptions()
-	o.Execution = SweepFresh
-	res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(o)
+	lab, err := NewLab(Options{Seed: 42, Quiet: true}).Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := loadHotpathGolden(t).Sweep
-	if len(res.Points) != len(want) {
-		t.Fatalf("sweep has %d points, seed path recorded %d", len(res.Points), len(want))
-	}
-	for i, pt := range res.Points {
-		if got := hexDigest(pt.StateHash); got != want[i] {
-			t.Errorf("sweep point %d (fresh): state hash %s, seed path recorded %s", i, got, want[i])
+	for run := 0; run < 2; run++ {
+		res := lab.RunFaultSweep(hotpathSweepOptions())
+		if len(res.Points) != len(want) {
+			t.Fatalf("run %d: sweep has %d points, seed path recorded %d", run, len(res.Points), len(want))
 		}
-	}
-}
-
-// TestForkDifferentialWarmupSweep gates the campaign warm prefix: with
-// Warmup set, the forked mode runs the preconditioning trace once on the
-// template while the fresh mode replays it per point — and every point must
-// still digest identically. This is the property that makes the warm-once
-// amortisation (BenchmarkSweepForked vs BenchmarkSweepFresh) legitimate.
-func TestForkDifferentialWarmupSweep(t *testing.T) {
-	o := hotpathSweepOptions()
-	o.Warmup = 20_000
-	run := func(mode SweepExecMode) []string {
-		oo := o
-		oo.Execution = mode
-		res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(oo)
-		got := make([]string, len(res.Points))
 		for i, pt := range res.Points {
-			got[i] = hexDigest(pt.StateHash)
+			if got := hexDigest(pt.StateHash); got != want[i] {
+				t.Errorf("run %d, sweep point %d: state hash %s, seed path recorded %s", run, i, got, want[i])
+			}
 		}
-		return got
-	}
-	forked, fresh := run(SweepForked), run(SweepFresh)
-	if len(forked) != len(fresh) || len(forked) != len(o.Intensities) {
-		t.Fatalf("point counts diverged: forked %d, fresh %d, want %d",
-			len(forked), len(fresh), len(o.Intensities))
-	}
-	for i := range forked {
-		if forked[i] != fresh[i] {
-			t.Errorf("warmup sweep point %d: forked %s, fresh %s", i, forked[i], fresh[i])
-		}
-	}
-	// A warmed campaign must actually differ from an unwarmed one — if the
-	// warmup trace were silently skipped, the equality above would be vacuous.
-	o2 := hotpathSweepOptions()
-	res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(o2)
-	if hexDigest(res.Points[0].StateHash) == forked[0] {
-		t.Fatal("warmup had no effect on point state (trace skipped?)")
 	}
 }
 
-// TestSweepForkedIsDefault pins the zero value of SweepExecMode to forked
-// execution: the campaign the hot-path differential gates is the forked
-// one, and a silent default flip would quietly un-gate it.
-func TestSweepForkedIsDefault(t *testing.T) {
-	var mode SweepExecMode
-	if mode != SweepForked {
-		t.Fatalf("zero SweepExecMode = %d, want SweepForked", mode)
-	}
-}
-
-// TestLabForkPristine pins the Lab-level fork contract the sweep template
-// relies on: a fork of an untouched lab digests identically to a fresh
-// NewLab with the same options, RNG stream included.
+// TestLabForkPristine pins the Lab-level fork contract: a fork of an
+// untouched lab digests identically to a fresh NewLab with the same
+// options, RNG stream included.
 func TestLabForkPristine(t *testing.T) {
 	opts := Options{Seed: 42, Quiet: true}
 	fresh := NewLab(opts)
-	forked := NewLab(opts).MustFork()
+	forked, err := NewLab(opts).Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f, g := fresh.m.StateHash(), forked.m.StateHash(); f != g {
 		t.Fatalf("pristine fork digest %#x, fresh lab %#x", g, f)
 	}

@@ -52,9 +52,9 @@ func (c Config) Validate() error {
 // flat policyArray, so an access is pure index arithmetic: no per-set heap
 // objects, no interface dispatch, no pointer chasing. The "global set"
 // number g = slice*nsets + set is the unit the policy engine and the
-// snapshot/audit code agree on; iteration over g visits sets in exactly the
-// slice-major order the seed implementation used, which keeps StateHash,
-// Snapshot and VisitLines bit-identical.
+// hash/audit code agree on; iteration over g visits sets in exactly the
+// slice-major order the seed implementation used, which keeps StateHash
+// and VisitLines bit-identical.
 type Cache struct {
 	cfg     Config
 	nslices int
@@ -70,7 +70,7 @@ type Cache struct {
 	lines      []uint64 // [gset*ways+way] physical line address
 	valid      []bool   // [gset*ways+way]
 	prefetched []bool   // [gset*ways+way] prefetch-installed, not yet demand-hit
-	vcnt       []int32  // [gset] popcount of valid (derived, not snapshotted)
+	vcnt       []int32  // [gset] popcount of valid (derived, not hashed)
 	pol        *policyArray
 
 	// One-entry direct-mapped way predictor: the flat index where predLine
@@ -169,8 +169,8 @@ func (c *Cache) SetOf(p mem.PAddr) uint64 {
 
 // setIndex folds a line address onto a set number. The non-power-of-two
 // fold uses Lemire's fastmod (two multiplies) for line addresses below
-// 2^32 — every reachable physical address qualifies, but snapshots can
-// carry arbitrary line words, so larger values fall back to the divide.
+// 2^32 — every reachable physical address qualifies, but corrupted state
+// can carry arbitrary line words, so larger values fall back to the divide.
 // Both branches compute exactly line % nsets.
 func (c *Cache) setIndex(line uint64) uint64 {
 	if c.setsPow2 {
@@ -401,14 +401,6 @@ func (c *Cache) RemoveLine(line uint64) bool {
 	return c.Remove(p)
 }
 
-// Stats reports cumulative hits and misses observed by Access.
-//
-// Deprecated: read the same values from the machine's telemetry registry
-// (<prefix>.hits / <prefix>.misses, via RegisterMetrics). Kept so existing
-// callers and the golden report stay stable; both views sample the same
-// counters and always agree.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
 // ResetStats clears every cumulative counter: hits, misses, prefetch fills
 // and useful-prefetch credits. (It previously left the prefetch counters
 // running, which skewed any accuracy ratio computed after a reset.)
@@ -419,8 +411,9 @@ func (c *Cache) ResetStats() {
 
 // RegisterMetrics exposes the cache's counters in reg under prefix
 // (e.g. "cache.l1"): <prefix>.hits, .misses, .prefetch_fills,
-// .useful_prefetches. Samplers read the live counters, so snapshots always
-// match Stats()/PrefetchStats() exactly and the hot path pays nothing.
+// .useful_prefetches. Samplers read the live counters, so registry
+// snapshots always match PrefetchStats() exactly and the hot path pays
+// nothing.
 func (c *Cache) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+".hits", func() uint64 { return c.hits })
 	reg.RegisterFunc(prefix+".misses", func() uint64 { return c.misses })

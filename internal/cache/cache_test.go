@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"afterimage/internal/mem"
+	"afterimage/internal/telemetry"
 )
 
 func small(policy PolicyKind) Config {
@@ -160,10 +161,10 @@ func TestHierarchyFlush(t *testing.T) {
 func TestProbeIsNonDestructive(t *testing.T) {
 	c := MustNew(small(LRU))
 	c.Fill(0x1000)
-	h0, m0 := c.Stats()
+	h0, m0 := c.hits, c.misses
 	c.Contains(0x1000)
 	c.Contains(0x2000)
-	if h, m := c.Stats(); h != h0 || m != m0 {
+	if h, m := c.hits, c.misses; h != h0 || m != m0 {
 		t.Fatal("Contains changed stats")
 	}
 }
@@ -345,7 +346,7 @@ func TestResetStatsClearsAllCounters(t *testing.T) {
 	c.FillPrefetch(0x2000)
 	c.Access(0x2000) // useful prefetch (and a hit)
 
-	if h, m := c.Stats(); h == 0 || m == 0 {
+	if h, m := c.hits, c.misses; h == 0 || m == 0 {
 		t.Fatalf("setup: hits=%d misses=%d", h, m)
 	}
 	if f, u := c.PrefetchStats(); f != 1 || u != 1 {
@@ -353,7 +354,7 @@ func TestResetStatsClearsAllCounters(t *testing.T) {
 	}
 
 	c.ResetStats()
-	if h, m := c.Stats(); h != 0 || m != 0 {
+	if h, m := c.hits, c.misses; h != 0 || m != 0 {
 		t.Fatalf("after reset: hits=%d misses=%d", h, m)
 	}
 	if f, u := c.PrefetchStats(); f != 0 || u != 0 {
@@ -370,11 +371,35 @@ func TestHierarchyResetStats(t *testing.T) {
 	h.Prefetch(0x2000)
 	h.ResetStats()
 	for _, c := range []*Cache{h.L1, h.L2, h.LLC} {
-		if hits, misses := c.Stats(); hits != 0 || misses != 0 {
+		if hits, misses := c.hits, c.misses; hits != 0 || misses != 0 {
 			t.Fatalf("%s: hits=%d misses=%d after reset", c.Config().Name, hits, misses)
 		}
 		if f, u := c.PrefetchStats(); f != 0 || u != 0 {
 			t.Fatalf("%s: fills=%d useful=%d after reset", c.Config().Name, f, u)
+		}
+	}
+}
+
+// TestRegisterMetricsSamplesCounters: the registry samplers read the live
+// counter fields, so a snapshot taken after activity equals them exactly.
+func TestRegisterMetricsSamplesCounters(t *testing.T) {
+	c := MustNew(small(LRU))
+	reg := telemetry.NewRegistry()
+	c.RegisterMetrics(reg, "cache.t")
+	c.Fill(0x1000)
+	c.Access(0x1000)       // hit
+	c.Access(0x8000)       // miss
+	c.FillPrefetch(0x2000) // prefetch fill...
+	c.Access(0x2000)       // ...made useful
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"cache.t.hits":              c.hits,
+		"cache.t.misses":            c.misses,
+		"cache.t.prefetch_fills":    c.prefetchFills,
+		"cache.t.useful_prefetches": c.usefulPrefetch,
+	} {
+		if got, ok := snap.Get(name); !ok || got != want || want == 0 {
+			t.Errorf("%s: snapshot %d (present %v), field %d", name, got, ok, want)
 		}
 	}
 }

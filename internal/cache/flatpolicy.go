@@ -199,8 +199,8 @@ func (pa *policyArray) insert(g, w int) {
 }
 
 // save serialises set g's replacement state in the layout of the matching
-// standalone policy, so snapshots taken before and after the flattening are
-// interchangeable and StateHash digests stay bit-identical.
+// standalone policy, so StateHash digests stay bit-identical to the seed's
+// per-set policies and fault injection can Save/Load one set's state.
 func (pa *policyArray) save(g int) []uint64 {
 	switch pa.kind {
 	case LRU, FIFO:

@@ -49,8 +49,8 @@ func (pa *policyArray) clone() *policyArray {
 
 // Fork returns an independent deep copy of the cache. Tag/valid/prefetched
 // arrays, replacement state and counters are copied; the way predictor is
-// dropped (predOK=false) exactly as Restore drops it — it caches only a
-// location, so clearing it never changes observable state.
+// dropped (predOK=false) — it caches only a location, so clearing it never
+// changes observable state.
 func (c *Cache) Fork() *Cache {
 	f := *c
 	f.lines = append([]uint64(nil), c.lines...)

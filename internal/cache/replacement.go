@@ -337,7 +337,7 @@ func (p *treePLRU) Load(state []uint64) {
 func (p *treePLRU) Audit() error { return nil }
 
 // randomPolicy evicts pseudo-randomly from a counting source so its RNG
-// position snapshots alongside the rest of the policy state.
+// position saves, hashes and forks alongside the rest of the policy state.
 type randomPolicy struct {
 	ways int
 	src  *detrand.Source

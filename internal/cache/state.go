@@ -1,0 +1,86 @@
+package cache
+
+import (
+	"fmt"
+
+	"afterimage/internal/mem"
+	"afterimage/internal/statehash"
+)
+
+// lineAddr converts a physical line address back to a byte address for the
+// slice/set mapping functions.
+func lineAddr(line, lineSize uint64) mem.PAddr { return mem.PAddr(line * lineSize) }
+
+// StateHash folds the cache's complete state — contents, replacement state
+// and counters — into a stable 64-bit digest. The fold order (set contents
+// then policy words, slice-major over sets) matches the seed implementation
+// word for word.
+func (c *Cache) StateHash() uint64 {
+	h := statehash.New()
+	h.Str(c.cfg.Name)
+	gsets := c.nslices * int(c.nsets)
+	scratch := make([]uint64, 0, c.ways+2)
+	for g := 0; g < gsets; g++ {
+		base := g * c.ways
+		scratch = c.pol.saveInto(scratch[:0], g)
+		h.U64s(c.lines[base : base+c.ways]).
+			Bools(c.valid[base : base+c.ways]).
+			Bools(c.prefetched[base : base+c.ways]).
+			U64s(scratch)
+	}
+	h.U64(c.hits).U64(c.misses).U64(c.prefetchFills).U64(c.usefulPrefetch)
+	return h.Sum()
+}
+
+// Audit deep-checks the level's structural invariants: no duplicate valid
+// lines within a set, every valid line resident in the slice/set its address
+// maps to, and the per-set replacement policy internally consistent. It
+// returns every broken rule.
+func (c *Cache) Audit() []error {
+	var errs []error
+	gsets := c.nslices * int(c.nsets)
+	for g := 0; g < gsets; g++ {
+		si, i := g/int(c.nsets), g%int(c.nsets)
+		base := g * c.ways
+		for w := 0; w < c.ways; w++ {
+			if !c.valid[base+w] {
+				continue
+			}
+			line := c.lines[base+w]
+			p := lineAddr(line, c.cfg.LineSize)
+			if got := c.SliceOf(p); got != si {
+				errs = append(errs, fmt.Errorf("cache %q: slice %d set %d way %d holds line %#x which maps to slice %d", c.cfg.Name, si, i, w, line, got))
+			}
+			if got := c.SetOf(p); got != uint64(i) {
+				errs = append(errs, fmt.Errorf("cache %q: slice %d set %d way %d holds line %#x which maps to set %d", c.cfg.Name, si, i, w, line, got))
+			}
+			for w2 := w + 1; w2 < c.ways; w2++ {
+				if c.valid[base+w2] && c.lines[base+w2] == line {
+					errs = append(errs, fmt.Errorf("cache %q: slice %d set %d holds line %#x in ways %d and %d", c.cfg.Name, si, i, line, w, w2))
+				}
+			}
+		}
+		if err := c.pol.audit(g); err != nil {
+			errs = append(errs, fmt.Errorf("cache %q: slice %d set %d policy: %w", c.cfg.Name, si, i, err))
+		}
+	}
+	return errs
+}
+
+// VisitLines calls fn for every valid physical line address in the cache,
+// stopping early if fn returns false. Iteration order is slice-major and
+// deterministic.
+func (c *Cache) VisitLines(fn func(line uint64) bool) {
+	for i, v := range c.valid {
+		if v && !fn(c.lines[i]) {
+			return
+		}
+	}
+}
+
+// PolicyAt exposes the replacement policy of one set (slice-major indexing)
+// so fault injection can corrupt replacement state directly. The returned
+// view mutates the cache's flat policy engine in place.
+func (c *Cache) PolicyAt(slice int, set uint64) Policy {
+	return &setPolicyView{pa: c.pol, g: slice*int(c.nsets) + int(set)}
+}

@@ -9,7 +9,7 @@ import (
 // Boundary tests for the one-entry way predictor in front of the set scan.
 // The predictor only caches a location — every use re-verifies tag and
 // validity and performs the same mutations the scan would — so these tests
-// pin the hazard cases: stale predictions after removal, restore, and
+// pin the hazard cases: stale predictions after removal, fork, and
 // conflict eviction, and behaviour under deliberately corrupted (duplicate)
 // state.
 
@@ -46,18 +46,19 @@ func TestWayPredictorBoundaries(t *testing.T) {
 				t.Fatal("refilled line missed")
 			}
 		}},
-		{"stale after restore", func(t *testing.T, c *Cache) {
-			empty := c.Snapshot()
+		{"stale after fork", func(t *testing.T, c *Cache) {
 			c.Fill(p)
 			c.Access(p) // trains the predictor on p's way
-			if err := c.Restore(empty); err != nil {
-				t.Fatal(err)
+			f := c.Fork()
+			if f.predOK {
+				t.Fatal("predictor survived Fork")
 			}
-			if c.predOK {
-				t.Fatal("predictor survived Restore")
+			f.Remove(p)
+			if f.Access(p) {
+				t.Fatal("hit on a line removed from the fork")
 			}
-			if c.Access(p) {
-				t.Fatal("hit in a restored-empty cache")
+			if !c.Access(p) {
+				t.Fatal("removing from the fork dropped the parent's line")
 			}
 		}},
 		{"stale after conflict eviction", func(t *testing.T, c *Cache) {
@@ -96,35 +97,29 @@ func TestWayPredictorBoundaries(t *testing.T) {
 					t.Fatalf("iteration %d: alias access missed", i)
 				}
 			}
-			hits, misses := c.Stats()
+			hits, misses := c.hits, c.misses
 			if hits != 16 || misses != 0 {
 				t.Fatalf("hits=%d misses=%d, want 16/0", hits, misses)
 			}
 		}},
-		{"restored duplicate state keeps first-way semantics", func(t *testing.T, c *Cache) {
+		{"forked duplicate state keeps first-way order", func(t *testing.T, c *Cache) {
 			c.Fill(p)
-			snap := c.Snapshot()
-			// Corrupt the snapshot: duplicate p's line into a second way of
-			// its set (what a corrupted restore could legally carry).
-			si, set := c.SliceOf(p), c.SetOf(p)
-			ss := &snap.Sets[si][set]
-			var src int
-			for w, v := range ss.Valid {
-				if v {
-					src = w
-					break
-				}
+			c.Access(p) // trains the predictor on p's way
+			// Corrupt: duplicate p's line into the next (empty) way of its
+			// set, as a corruption fault could.
+			g, src, ok := c.lookupLine(c.lineOf(p))
+			if !ok {
+				t.Fatal("filled line not found")
 			}
-			dst := (src + 1) % len(ss.Lines)
-			ss.Lines[dst] = ss.Lines[src]
-			ss.Valid[dst] = true
-			if err := c.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
+			base := g * c.ways
+			dst := base + (src-base+1)%c.ways
+			c.lines[dst], c.valid[dst] = c.lines[src], true
+			c.vcnt[g]++
+			c = c.Fork()
 			if errs := c.Audit(); len(errs) == 0 {
 				t.Fatal("audit missed the duplicate ways")
 			}
-			// The predictor was reset by Restore, so accesses resolve by scan
+			// The predictor was reset by Fork, so accesses resolve by scan
 			// order (first matching way) — and stay consistent when repeated.
 			if !c.Access(p) || !c.Access(p) {
 				t.Fatal("duplicate-state access missed")

@@ -139,6 +139,25 @@ func TestDispatchRendezvousStability(t *testing.T) {
 	}
 }
 
+// TestRankWorkersSpreadsFixedAddresses ranks 12 campaign keys over three
+// workers whose addresses differ only in the port's last digit — the
+// adversarial case for an unmixed rendezvous score — and requires the
+// top-ranked worker to vary. Fixed addresses make the check independent of
+// which ephemeral ports a test run happens to get.
+func TestRankWorkersSpreadsFixedAddresses(t *testing.T) {
+	var ws []*worker
+	for _, port := range []string{"30001", "30002", "30003"} {
+		ws = append(ws, &worker{id: "w" + port, addr: "http://127.0.0.1:" + port})
+	}
+	used := map[string]bool{}
+	for i := 0; i < 12; i++ {
+		used[rankWorkers(ws, fmt.Sprintf("campaign-%d", i))[0].addr] = true
+	}
+	if len(used) < 2 {
+		t.Fatalf("12 keys all ranked one worker first: %v", used)
+	}
+}
+
 // TestDispatchFailover: when the key's first-ranked worker fails, the next
 // round walks the rendezvous ranking and the campaign still completes with
 // identical bytes; the audit trail records the failed attempt.

@@ -1,10 +1,11 @@
 // Package detrand wraps math/rand sources with draw counting so RNG state
-// becomes snapshottable. math/rand exposes no way to serialise a generator's
-// position, but every generator here is (a) seeded from a known value and
-// (b) consumed strictly sequentially, so its full state is (seed, number of
-// draws): restoring is reseeding and discarding that many draws. This is what
-// lets Machine.Snapshot capture the jitter/noise RNGs and Machine.Restore
-// resume them mid-stream, keeping replayed runs bit-identical.
+// becomes copyable and hashable. math/rand exposes no way to serialise a
+// generator's position, but every generator here is (a) seeded from a known
+// value and (b) consumed strictly sequentially, so its full state is (seed,
+// number of draws): restoring is reseeding and discarding that many draws.
+// This is what lets Machine.Fork clone the jitter/noise RNGs mid-stream and
+// Machine.StateHash digest their positions, keeping forked and replayed runs
+// bit-identical.
 //
 // The wrapper is stream-identical to rand.New(rand.NewSource(seed)): it
 // implements rand.Source64 and delegates both Int63 and Uint64 to the

@@ -101,41 +101,6 @@ func (p *IPStride) forceValid(i int) int {
 	return i
 }
 
-// IPStrideSnapshot captures the prefetcher's complete state: table, policy,
-// issue record and counters.
-type IPStrideSnapshot struct {
-	Entries   []Entry
-	Policy    []uint64
-	LastBase  mem.PAddr
-	LastTgt   mem.PAddr
-	LastValid bool
-	Stats     Stats
-}
-
-// Snapshot captures the IP-stride prefetcher's state.
-func (p *IPStride) Snapshot() IPStrideSnapshot {
-	return IPStrideSnapshot{
-		Entries:   append([]Entry(nil), p.entries...),
-		Policy:    p.policy.Save(),
-		LastBase:  p.lastIssue.base,
-		LastTgt:   p.lastIssue.target,
-		LastValid: p.lastIssue.valid,
-		Stats:     p.stats,
-	}
-}
-
-// Restore adopts a snapshot from a prefetcher with the same table size.
-func (p *IPStride) Restore(snap IPStrideSnapshot) error {
-	if len(snap.Entries) != len(p.entries) {
-		return fmt.Errorf("ipstride: snapshot has %d entries, table has %d", len(snap.Entries), len(p.entries))
-	}
-	copy(p.entries, snap.Entries)
-	p.policy.Load(snap.Policy)
-	p.lastIssue.base, p.lastIssue.target, p.lastIssue.valid = snap.LastBase, snap.LastTgt, snap.LastValid
-	p.stats = snap.Stats
-	return nil
-}
-
 // StateHash folds the prefetcher's complete state into a stable digest.
 func (p *IPStride) StateHash() uint64 {
 	h := statehash.New()
@@ -151,67 +116,6 @@ func (p *IPStride) StateHash() uint64 {
 	h.U64(p.stats.Lookups).U64(p.stats.Trains).U64(p.stats.Allocs).U64(p.stats.Evictions)
 	h.U64(p.stats.Prefetches).U64(p.stats.PageDrops).U64(p.stats.Relearns).U64(p.stats.TLBSkips).U64(p.stats.Flushes)
 	return h.Sum()
-}
-
-// DCUSnapshot, DPLSnapshot and StreamerSnapshot capture the noise
-// prefetchers' small detector states.
-type DCUSnapshot struct {
-	Enabled  bool
-	LastLine uint64
-	Seen     bool
-	Stats    uint64
-}
-
-type DPLSnapshot struct {
-	Enabled  bool
-	LastMiss uint64
-	Seen     bool
-	Stats    uint64
-}
-
-type StreamerSnapshot struct {
-	Enabled bool
-	Degree  int
-	Table   []streamEntry
-	Stats   uint64
-}
-
-// SuiteSnapshot captures all four prefetchers of a core.
-type SuiteSnapshot struct {
-	IPStride IPStrideSnapshot
-	DCU      DCUSnapshot
-	DPL      DPLSnapshot
-	Streamer StreamerSnapshot
-}
-
-// Snapshot captures the full suite state.
-func (s *Suite) Snapshot() SuiteSnapshot {
-	return SuiteSnapshot{
-		IPStride: s.IPStride.Snapshot(),
-		DCU:      DCUSnapshot{Enabled: s.DCU.Enabled, LastLine: s.DCU.lastLine, Seen: s.DCU.seen, Stats: s.DCU.stats},
-		DPL:      DPLSnapshot{Enabled: s.DPL.Enabled, LastMiss: s.DPL.lastMiss, Seen: s.DPL.seen, Stats: s.DPL.stats},
-		Streamer: StreamerSnapshot{
-			Enabled: s.Streamer.Enabled,
-			Degree:  s.Streamer.Degree,
-			Table:   append([]streamEntry(nil), s.Streamer.table...),
-			Stats:   s.Streamer.stats,
-		},
-	}
-}
-
-// Restore adopts a suite snapshot.
-func (s *Suite) Restore(snap SuiteSnapshot) error {
-	if err := s.IPStride.Restore(snap.IPStride); err != nil {
-		return err
-	}
-	s.DCU.Enabled, s.DCU.lastLine, s.DCU.seen, s.DCU.stats = snap.DCU.Enabled, snap.DCU.LastLine, snap.DCU.Seen, snap.DCU.Stats
-	s.DPL.Enabled, s.DPL.lastMiss, s.DPL.seen, s.DPL.stats = snap.DPL.Enabled, snap.DPL.LastMiss, snap.DPL.Seen, snap.DPL.Stats
-	if len(snap.Streamer.Table) != len(s.Streamer.table) {
-		return fmt.Errorf("streamer: snapshot has %d entries, table has %d", len(snap.Streamer.Table), len(s.Streamer.table))
-	}
-	s.Streamer.Enabled, s.Streamer.Degree, s.Streamer.stats = snap.Streamer.Enabled, snap.Streamer.Degree, snap.Streamer.Stats
-	copy(s.Streamer.table, snap.Streamer.Table)
-	return nil
 }
 
 // StateHash folds the full suite state into one digest.

@@ -2,10 +2,9 @@ package prefetcher
 
 import "afterimage/internal/cache"
 
-// Fork support: deep-copy the prefetcher suite for Machine.Fork. Every
-// copy routes through the same representations Snapshot/Restore use, so a
-// fork is provably state-equivalent to a restore — including deliberately
-// corrupted state, which must survive for the auditor to flag.
+// Fork support: deep-copy the prefetcher suite for Machine.Fork. State is
+// copied verbatim — including deliberately corrupted state, which must
+// survive for the auditor to flag.
 
 // Fork returns an independent deep copy of the IP-stride prefetcher. The
 // telemetry hub is NOT carried over (emits would land in the parent's

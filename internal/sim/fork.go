@@ -11,10 +11,11 @@ import (
 // Fork produces an independent machine whose simulated state is
 // bit-identical to the receiver's: same clock, same warmed caches, TLB and
 // prefetcher tables, same RNG stream positions, same address-space layouts.
-// Campaign drivers warm one template machine per configuration and fork
-// every sweep point's divergent suffix from it instead of re-running the
-// shared warm prefix — forking is a few slice copies, orders of magnitude
-// below machine construction plus warmup.
+// Fork and the component Fork methods it composes are the simulator's only
+// state-copy path (champsim.RunApp forks its simulator through the same
+// component methods, and Lab.Fork builds on this one). Forking a pristine
+// machine is observably equivalent to constructing a new one with the same
+// configuration.
 //
 // Copied (deep): cache hierarchy (tags, replacement state, counters), TLB
 // (entries re-tagged to the fork's fresh ASIDs), prefetcher suite, physical
@@ -26,15 +27,15 @@ import (
 // telemetry hub with its registry samplers and latency histogram (samplers
 // are closures over live counters — sharing them would let one machine's
 // metrics read another's state), the invariant registry, and the way
-// predictors and scratch buffers, which reset exactly as they do on
-// Restore.
+// predictors and scratch buffers, which only cache locations and start
+// empty.
 //
 // Not carried over: the perturber, cancellation probe, pending fault and
 // last-audit diagnostics — per-run harness attachments, installed by the
 // driver on whichever machine it runs.
 //
-// Fork refuses while the scheduler is mid-run, for the same reason
-// Snapshot does: parked task goroutines hold unserialisable state.
+// Fork refuses while the scheduler is mid-run: parked task goroutines hold
+// execution state that cannot be copied.
 func (m *Machine) Fork() (*Machine, error) {
 	if m.sched.running {
 		return nil, &SimFault{

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"afterimage/internal/mem"
+	"afterimage/internal/telemetry"
 )
 
 func TestHitAfterMiss(t *testing.T) {
@@ -33,7 +34,7 @@ func TestSamePageDifferentOffsets(t *testing.T) {
 func TestWarmInstallsWithoutMissCount(t *testing.T) {
 	tl := New(DefaultConfig())
 	tl.Warm(1, 0x9000)
-	if _, misses := tl.Stats(); misses != 0 {
+	if tl.misses != 0 {
 		t.Fatalf("Warm counted a miss")
 	}
 	if hit, _ := tl.Lookup(1, 0x9000); !hit {
@@ -142,5 +143,31 @@ func TestSTLBFlushedByFlushAll(t *testing.T) {
 func TestDefaultConfigHasSTLB(t *testing.T) {
 	if DefaultConfig().STLBEntries != 1536 {
 		t.Fatal("default config lost its STLB")
+	}
+}
+
+// TestRegisterMetricsSamplesCounters: the registry samplers read the live
+// counter fields, so a snapshot taken after activity equals them exactly.
+func TestRegisterMetricsSamplesCounters(t *testing.T) {
+	tl := New(DefaultConfig())
+	reg := telemetry.NewRegistry()
+	tl.RegisterMetrics(reg)
+	// Twice the dTLB's reach: the second pass hits the STLB for pages the
+	// first level evicted, and the first level for the rest.
+	for pass := 0; pass < 2; pass++ {
+		for i := uint64(0); i < 128; i++ {
+			tl.Lookup(1, mem.VAddr(0x5000_0000+i*mem.PageSize))
+		}
+	}
+	tl.Lookup(1, 0x5000_0000+127*mem.PageSize)
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"tlb.hits":      tl.hits,
+		"tlb.misses":    tl.misses,
+		"tlb.stlb_hits": tl.stlbHits,
+	} {
+		if got, ok := snap.Get(name); !ok || got != want || want == 0 {
+			t.Errorf("%s: snapshot %d (present %v), field %d", name, got, ok, want)
+		}
 	}
 }

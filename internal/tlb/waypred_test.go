@@ -7,7 +7,7 @@ import (
 )
 
 // Boundary tests for the TLB's one-entry translation predictor: predictions
-// must never survive a context switch (different ASID), a flush, a restore,
+// must never survive a context switch (different ASID), a flush, a fork,
 // or deliberately corrupted duplicate state, and the VPN extremes must
 // behave like any other page.
 func TestTLBPredictorBoundaries(t *testing.T) {
@@ -44,18 +44,19 @@ func TestTLBPredictorBoundaries(t *testing.T) {
 				t.Fatal("hit after FlushAll")
 			}
 		}},
-		{"restore kills the prediction", func(t *testing.T, tl *TLB) {
-			empty := tl.Snapshot()
+		{"fork kills the prediction", func(t *testing.T, tl *TLB) {
 			tl.Lookup(1, va)
 			tl.Lookup(1, va)
-			if err := tl.Restore(empty); err != nil {
-				t.Fatal(err)
+			f := tl.Fork(nil)
+			if f.predOK {
+				t.Fatal("predictor survived Fork")
 			}
-			if tl.predOK {
-				t.Fatal("predictor survived Restore")
+			f.FlushAll()
+			if hit, _ := f.Lookup(1, va); hit {
+				t.Fatal("hit in a flushed fork")
 			}
-			if hit, _ := tl.Lookup(1, va); hit {
-				t.Fatal("hit in a restored-empty TLB")
+			if hit, _ := tl.Lookup(1, va); !hit {
+				t.Fatal("flushing the fork dropped the parent's translation")
 			}
 		}},
 		{"corrupt insert resets the predictor", func(t *testing.T, tl *TLB) {

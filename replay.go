@@ -172,10 +172,7 @@ func (l *Lab) ReplayFaultSweep(ctx context.Context, o SweepOptions, path string)
 			rep.addSkip(key, "no recorded state hash (checkpoint predates auditing)")
 			continue
 		}
-		// Replay always re-executes from a fresh boot (nil template): a
-		// campaign recorded under forked execution must hash-match a fresh
-		// re-run, so every replay doubles as a fork-vs-fresh identity check.
-		fresh, _, rerr := runSweepPoint(ctx, nil, labOpts, o, intensity, 0, false, 0)
+		fresh, _, rerr := runSweepPoint(ctx, labOpts, o, intensity, 0, false, 0)
 		note := ""
 		if rerr != nil {
 			note = "replay faulted: " + rerr.Error()

@@ -151,44 +151,6 @@ func tamperCheckpoint(t *testing.T, path, key string) {
 	}
 }
 
-// TestReplayForkedWarmupCampaign: a campaign recorded under the default
-// forked execution WITH a warm prefix (template warmed once, every point a
-// fork) replays divergence-free. The replay harness always re-executes
-// points fresh — boot plus per-point warmup — so this round trip is a
-// continuous fork-vs-fresh identity check over the full campaign stack:
-// checkpointing, fault salting, warmup trace and final audit included.
-func TestReplayForkedWarmupCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replay re-runs the campaign; slow")
-	}
-	path := filepath.Join(t.TempDir(), "warm-sweep.ck.json")
-	o := SweepOptions{
-		Attack:      SweepV1Thread,
-		Bits:        10,
-		Intensities: []float64{0, 1},
-		Warmup:      30_000,
-		Execution:   SweepForked,
-		Faults:      faults.Config{EventsPerMCycle: 200},
-		Runner:      runner.Options{CheckpointPath: path},
-	}
-	if _, err := NewLab(Options{Seed: 11}).RunFaultSweepCtx(context.Background(), o); err != nil {
-		t.Fatalf("recording forked warm sweep: %v", err)
-	}
-	o.Runner = runner.Options{}
-	rep, err := NewLab(Options{Seed: 11}).ReplayFaultSweep(context.Background(), o, path)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if rep.Compared != len(o.Intensities) {
-		raw, _ := rep.JSON()
-		t.Fatalf("replay compared %d of %d points:\n%s", rep.Compared, len(o.Intensities), raw)
-	}
-	if rep.Diverged() {
-		raw, _ := rep.JSON()
-		t.Fatalf("forked warm campaign diverged from fresh replay:\n%s", raw)
-	}
-}
-
 // TestReplayFaultSweepDivergenceDetection: replaying a checkpointed sweep
 // reproduces every clean point's state hash exactly; a tampered recorded hash
 // is then reported as exactly one divergence.

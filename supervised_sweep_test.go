@@ -215,3 +215,16 @@ func TestSweepCanceledReturnsPrefix(t *testing.T) {
 		t.Fatalf("canceled-before-start campaign produced %d points", len(res.Points))
 	}
 }
+
+// TestSweepFingerprintStable pins the checkpoint fingerprint of the default
+// v1-thread campaign (seeds 1 and 7) to the values sweeps recorded while
+// SweepOptions still had a warmup option: those checkpoints all carried
+// Warmup 0, and must keep resuming and replaying.
+func TestSweepFingerprintStable(t *testing.T) {
+	for seed, want := range map[int64]string{1: "b6595eb6c883f8eb", 7: "7433878d4c1c8faf"} {
+		o, labOpts := NewLab(Options{Seed: seed}).sweepNormalize(SweepOptions{Attack: SweepV1Thread})
+		if got := sweepFingerprint(labOpts, o); got != want {
+			t.Errorf("seed %d: fingerprint %s, recorded checkpoints carry %s", seed, got, want)
+		}
+	}
+}

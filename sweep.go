@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"afterimage/internal/faults"
-	"afterimage/internal/mem"
 	"afterimage/internal/runner"
 	"afterimage/internal/sim"
 	"afterimage/internal/telemetry"
@@ -55,22 +54,6 @@ func (a SweepAttack) seedOffset() int64 {
 	}
 }
 
-// SweepExecMode selects how a sweep provisions its per-point labs.
-type SweepExecMode int
-
-const (
-	// SweepForked (the default) warms one template lab per campaign and
-	// forks every point attempt from it — the shared prefix (machine
-	// construction, address-space layout, policy seeding) is paid once
-	// instead of per point.
-	SweepForked SweepExecMode = iota
-	// SweepFresh boots every point attempt from scratch, the pre-fork
-	// behaviour. Both modes are bit-identical point for point — gated by
-	// the fork-vs-fresh differential suite — so this exists for the
-	// differential tests and benchmarks, and as an escape hatch.
-	SweepFresh
-)
-
 // SweepOptions configures RunFaultSweep.
 type SweepOptions struct {
 	// Attack is the experiment driven at each intensity.
@@ -95,21 +78,6 @@ type SweepOptions struct {
 	// straight-through run of the same seed. Fingerprint is derived from the
 	// campaign options and must not be set by the caller.
 	Runner runner.Options
-	// Execution picks forked (default) or fresh per-point labs. The two are
-	// bit-identical, so the mode is deliberately EXCLUDED from the campaign
-	// fingerprint: checkpoints recorded under either mode resume under the
-	// other.
-	Execution SweepExecMode
-	// Warmup preconditions every point's machine with this many strided
-	// loads — a deterministic trace replayed through the batched load API
-	// that fills caches and TLB and trains the IP-stride prefetcher before
-	// the attack and the fault engine start. Under SweepForked the template
-	// runs the trace ONCE and each point forks the warmed state; under
-	// SweepFresh every point replays it from scratch. The two are
-	// bit-identical point for point (the fault engine only arms after the
-	// warmup, so the prefix is genuinely shared), but the forked mode pays
-	// the trace once per campaign instead of once per point. Default 0.
-	Warmup int
 }
 
 // SweepPoint is one (intensity → outcome) sample.
@@ -197,16 +165,6 @@ func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult
 	}
 	o, labOpts := l.sweepNormalize(o)
 
-	// Forked execution warms the campaign's shared prefix once: one pristine
-	// template lab per configuration, forked for every point attempt. The
-	// template is never run, so concurrent forks from parallel workers are
-	// concurrent reads.
-	var tmpl *Lab
-	if o.Execution == SweepForked {
-		tmpl = NewLab(labOpts)
-		tmpl.runSweepWarmup(o.Warmup)
-	}
-
 	// childLabs retains each point's lab (fresh runs only) so the parent can
 	// absorb its event trace after the pool drains; distinct indices make
 	// the writes race-free under parallel workers.
@@ -217,7 +175,7 @@ func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult
 		jobs[i] = runner.Job{
 			Key: sweepPointKey(o.Attack, i, intensity),
 			Run: func(jctx context.Context, attempt int) (any, error) {
-				pt, lab, err := runSweepPoint(jctx, tmpl, labOpts, o, intensity, attempt, l.traceOn, l.traceCap)
+				pt, lab, err := runSweepPoint(jctx, labOpts, o, intensity, attempt, l.traceOn, l.traceCap)
 				if l.traceOn {
 					childLabs[i] = lab
 				}
@@ -290,45 +248,6 @@ func (l *Lab) sweepNormalize(o SweepOptions) (SweepOptions, Options) {
 	return o, labOpts
 }
 
-// sweepWarmupPages sizes the preconditioning buffer: 64 locked pages of
-// line-granular strided traffic.
-const sweepWarmupPages = 64
-
-// runSweepWarmup replays the campaign's preconditioning trace: n loads from
-// 16 interleaved IPs, each walking its own line-granular progression over a
-// shared 64-page buffer — enough to fill the upper cache levels, populate
-// the TLB and keep the IP-stride prefetcher trained and firing. The trace
-// is a pure function of the load index, so a template that runs it once and
-// a fresh lab that replays it per point reach identical state. It runs
-// through the batched load API in 256-op chunks with a reused latency
-// buffer, which keeps the whole warmup on the zero-allocation path.
-func (l *Lab) runSweepWarmup(n int) {
-	if n <= 0 {
-		return
-	}
-	env := l.m.Direct(l.m.NewProcess("sweep-warmup"))
-	buf := env.Mmap(sweepWarmupPages*mem.PageSize, mem.MapLocked)
-	lines := sweepWarmupPages * (mem.PageSize / mem.LineSize)
-	ops := make([]sim.LoadOp, 256)
-	lats := make([]uint64, 0, len(ops))
-	for done := 0; done < n; {
-		k := len(ops)
-		if n-done < k {
-			k = n - done
-		}
-		for i := 0; i < k; i++ {
-			idx := done + i
-			line := (idx/16 + idx%16*37) % lines
-			ops[i] = sim.LoadOp{
-				IP: 0x5a_0000 + uint64(idx%16)*0x40,
-				VA: buf.Base + mem.VAddr(line)*mem.LineSize,
-			}
-		}
-		env.LoadBatch(ops[:k], lats[:0])
-		done += k
-	}
-}
-
 // sweepPointKey is the stable checkpoint key of one sweep point.
 func sweepPointKey(a SweepAttack, i int, intensity float64) string {
 	return fmt.Sprintf("%s/%02d@%g", a, i, intensity)
@@ -345,9 +264,13 @@ func sweepFingerprint(labOpts Options, o SweepOptions) string {
 		Attack      string
 		Intensities []float64
 		Bits        int
-		Warmup      int
-		Faults      faults.Config
-	}{"fault-sweep/2", labOpts, o.Attack.String(), o.Intensities, o.Bits, o.Warmup, o.Faults})
+		// Warmup is always 0. Sweeps once had a preconditioning-load
+		// option, and every checkpoint they wrote serialised it; the
+		// constant keeps those fingerprints byte-identical so recorded
+		// campaigns still resume and replay.
+		Warmup int
+		Faults faults.Config
+	}{"fault-sweep/2", labOpts, o.Attack.String(), o.Intensities, o.Bits, 0, o.Faults})
 }
 
 // phaseCycleBounds bucket per-phase simulated time: a training pass on a
@@ -374,22 +297,14 @@ func hasCorruptionHistory(history []string) bool {
 	return false
 }
 
-// runSweepPoint executes one sweep point in its own lab — a fork of the
-// campaign template when one is provided, else a fresh boot (the two are
-// bit-identical; replay re-executes points fresh and diffs hashes against
-// campaigns recorded either way). It installs the salted fault engine,
-// runs the attack through its error-hardened variant, then audits the
-// final machine state and digests it. A failing final audit turns an
-// otherwise-successful attempt into a corruption fault, so silently
-// corrupted points are retried (quarantined) instead of reported.
-func runSweepPoint(jctx context.Context, tmpl *Lab, labOpts Options, o SweepOptions, intensity float64, attempt int, trace bool, traceCap int) (SweepPoint, *Lab, error) {
-	var lab *Lab
-	if tmpl != nil {
-		lab = tmpl.MustFork()
-	} else {
-		lab = NewLab(labOpts)
-		lab.runSweepWarmup(o.Warmup)
-	}
+// runSweepPoint executes one sweep point attempt in a freshly booted lab —
+// the same path the replay harness re-executes. It installs the salted
+// fault engine, runs the attack through its error-hardened variant, then
+// audits the final machine state and digests it. A failing final audit
+// turns an otherwise-successful attempt into a corruption fault, so
+// silently corrupted points are retried (quarantined) instead of reported.
+func runSweepPoint(jctx context.Context, labOpts Options, o SweepOptions, intensity float64, attempt int, trace bool, traceCap int) (SweepPoint, *Lab, error) {
+	lab := NewLab(labOpts)
 	if trace {
 		lab.EnableTrace(traceCap)
 	}

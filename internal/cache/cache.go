@@ -49,7 +49,7 @@ func (c Config) Validate() error {
 //
 // All per-way state lives in three contiguous arrays indexed by
 // (slice*nsets + set)*ways + way, and all replacement state lives in one
-// flat policyArray, so an access is pure index arithmetic: no per-set heap
+// Policies engine, so an access is pure index arithmetic: no per-set heap
 // objects, no interface dispatch, no pointer chasing. The "global set"
 // number g = slice*nsets + set is the unit the policy engine and the
 // hash/audit code agree on; iteration over g visits sets in exactly the
@@ -71,7 +71,7 @@ type Cache struct {
 	valid      []bool   // [gset*ways+way]
 	prefetched []bool   // [gset*ways+way] prefetch-installed, not yet demand-hit
 	vcnt       []int32  // [gset] popcount of valid (derived, not hashed)
-	pol        *policyArray
+	pol        *Policies
 
 	// One-entry direct-mapped way predictor: the flat index where predLine
 	// was last seen. It caches only a LOCATION — every use re-verifies the
@@ -116,7 +116,7 @@ func New(cfg Config) (*Cache, error) {
 	c.prefetched = make([]bool, gsets*cfg.Ways)
 	c.vcnt = make([]int32, gsets)
 	// Per-set seeds reproduce the seed code's newSet(…, PolicySeed+s*1000+i).
-	c.pol = newPolicyArray(cfg.Policy, gsets, cfg.Ways, func(g int) int64 {
+	c.pol = NewPolicies(cfg.Policy, gsets, cfg.Ways, func(g int) int64 {
 		s, i := g/int(nsets), g%int(nsets)
 		return cfg.PolicySeed + int64(s*1000+i)
 	})
@@ -241,7 +241,7 @@ func (c *Cache) Access(p mem.PAddr) bool {
 		i := c.predIdx
 		if c.valid[i] && c.lines[i] == line {
 			g := c.predG
-			c.pol.touch(g, i-g*c.ways)
+			c.pol.Touch(g, i-g*c.ways)
 			c.hits++
 			if c.prefetched[i] {
 				c.prefetched[i] = false
@@ -252,7 +252,7 @@ func (c *Cache) Access(p mem.PAddr) bool {
 	}
 	g, i, ok := c.lookupLine(line)
 	if ok {
-		c.pol.touch(g, i-g*c.ways)
+		c.pol.Touch(g, i-g*c.ways)
 		c.hits++
 		if c.prefetched[i] {
 			c.prefetched[i] = false
@@ -278,17 +278,17 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 		// reduces to the tag compare; a miss goes straight to the victim.
 		for w := range lines {
 			if lines[w] == line {
-				c.pol.touch(g, w)
+				c.pol.Touch(g, w)
 				c.predLine, c.predIdx, c.predG, c.predOK = line, base+w, g, true
 				return 0, false
 			}
 		}
-		w := c.pol.victim(g)
+		w := c.pol.Victim(g)
 		i := base + w
 		evicted, wasValid = c.lines[i], true
 		c.lines[i] = line
 		c.prefetched[i] = asPrefetch
-		c.pol.insert(g, w)
+		c.pol.Insert(g, w)
 		c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 		return evicted, wasValid
 	}
@@ -304,7 +304,7 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 			continue
 		}
 		if lines[w] == line {
-			c.pol.touch(g, w)
+			c.pol.Touch(g, w)
 			c.predLine, c.predIdx, c.predG, c.predOK = line, base+w, g, true
 			return 0, false
 		}
@@ -315,16 +315,16 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 		c.valid[i] = true
 		c.vcnt[g]++
 		c.prefetched[i] = asPrefetch
-		c.pol.insert(g, empty)
+		c.pol.Insert(g, empty)
 		c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 		return 0, false
 	}
-	w := c.pol.victim(g)
+	w := c.pol.Victim(g)
 	i := base + w
 	evicted, wasValid = c.lines[i], true
 	c.lines[i] = line
 	c.prefetched[i] = asPrefetch
-	c.pol.insert(g, w)
+	c.pol.Insert(g, w)
 	c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 	return evicted, wasValid
 }
@@ -346,18 +346,18 @@ func (c *Cache) fillMissed(line uint64, asPrefetch bool) (evicted uint64, wasVal
 				c.valid[i] = true
 				c.vcnt[g]++
 				c.prefetched[i] = asPrefetch
-				c.pol.insert(g, w)
+				c.pol.Insert(g, w)
 				c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 				return 0, false
 			}
 		}
 	}
-	w := c.pol.victim(g)
+	w := c.pol.Victim(g)
 	i := base + w
 	evicted, wasValid = c.lines[i], true
 	c.lines[i] = line
 	c.prefetched[i] = asPrefetch
-	c.pol.insert(g, w)
+	c.pol.Insert(g, w)
 	c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 	return evicted, wasValid
 }

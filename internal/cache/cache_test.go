@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -185,31 +186,47 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 	}
 }
 
-// TestPoliciesQuick property-tests every replacement policy: victims are
-// always in range and a freshly touched way is never the immediate victim
-// (except for FIFO and Random, which ignore recency).
+var allPolicies = []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy}
+
+func seed42(g int) int64 { return 42 + int64(g) }
+
+// TestPoliciesQuick property-tests every replacement policy over two sets:
+// victims are always in range, a freshly touched way is never the immediate
+// victim (except for FIFO and Random, which ignore recency), operations on
+// set 1 never change set 0's state, and Load adopts an AppendState verbatim.
 func TestPoliciesQuick(t *testing.T) {
-	kinds := []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy}
-	for _, k := range kinds {
+	for _, k := range allPolicies {
 		k := k
 		f := func(touches []uint8) bool {
 			const ways = 8
-			p := NewPolicy(k, ways, 42)
-			for i := 0; i < ways; i++ {
-				p.Insert(i)
+			p := NewPolicies(k, 2, ways, seed42)
+			for g := 0; g < 2; g++ {
+				for i := 0; i < ways; i++ {
+					p.Insert(g, i)
+				}
 			}
 			for _, x := range touches {
 				way := int(x) % ways
-				p.Touch(way)
-				v := p.Victim()
+				p.Touch(0, way)
+				v := p.Victim(0)
 				if v < 0 || v >= ways {
 					return false
 				}
-				if (k == LRU || k == BitPLRU) && v == way {
+				if (k == LRU || k == BitPLRU || k == TreePLRU) && v == way {
 					return false // just-touched way must not be the victim
 				}
 			}
-			return true
+			set0 := p.AppendState(nil, 0)
+			for _, x := range touches {
+				p.Touch(1, int(x)%ways)
+				p.Insert(1, p.Victim(1))
+				if !slices.Equal(p.AppendState(nil, 0), set0) {
+					return false
+				}
+			}
+			q := NewPolicies(k, 2, ways, seed42)
+			q.Load(1, p.AppendState(nil, 1))
+			return slices.Equal(q.AppendState(nil, 1), p.AppendState(nil, 1)) && p.Audit(0) == nil && p.Audit(1) == nil
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -218,27 +235,27 @@ func TestPoliciesQuick(t *testing.T) {
 }
 
 func TestBitPLRUResetSemantics(t *testing.T) {
-	p := NewBitPLRU(4)
+	p := NewPolicies(BitPLRU, 1, 4, seed42)
 	for i := 0; i < 4; i++ {
-		p.Insert(i)
+		p.Insert(0, i)
 	}
 	// Inserting way 3 saturated the bits and reset all but 3.
-	if v := p.Victim(); v != 0 {
+	if v := p.Victim(0); v != 0 {
 		t.Fatalf("victim after saturation = %d, want 0", v)
 	}
-	p.Touch(0)
-	if v := p.Victim(); v != 1 {
+	p.Touch(0, 0)
+	if v := p.Victim(0); v != 1 {
 		t.Fatalf("victim after touch(0) = %d, want 1", v)
 	}
 }
 
 func TestTreePLRUCycles(t *testing.T) {
-	p := NewPolicy(TreePLRU, 4, 0)
+	p := NewPolicies(TreePLRU, 1, 4, seed42)
 	seen := map[int]bool{}
 	for i := 0; i < 16; i++ {
-		v := p.Victim()
+		v := p.Victim(0)
 		seen[v] = true
-		p.Insert(v)
+		p.Insert(0, v)
 	}
 	if len(seen) != 4 {
 		t.Fatalf("tree-PLRU visited %d/4 ways over 16 evictions", len(seen))
@@ -246,8 +263,8 @@ func TestTreePLRUCycles(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, k := range []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy} {
-		if NewPolicy(k, 4, 0).Name() == "" {
+	for _, k := range allPolicies {
+		if NewPolicies(k, 1, 4, seed42).Name() == "" {
 			t.Fatalf("%v has empty name", k)
 		}
 		if k.String() == "" {

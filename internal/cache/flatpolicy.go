@@ -6,17 +6,13 @@ import (
 	"afterimage/internal/detrand"
 )
 
-// policyArray is the flattened per-set replacement state of one cache
-// level: one engine instance holds the state of EVERY set in contiguous
-// slices, indexed by global set number (slice-major, g = slice*nsets+set).
-// It replaces the seed layout of one heap-allocated Policy object per set,
-// eliminating both the per-set allocations and the per-access interface
-// dispatch, while implementing the exact same state machines — Save/Load
-// layouts, victim choice and audit rules are bit-compatible with the
-// standalone policies in replacement.go (which remain the reference
-// implementations, still used by the prefetcher's history table and by the
-// equivalence tests).
-type policyArray struct {
+// Policies is the replacement engine: it holds the per-set replacement
+// state of every set of one structure in contiguous slices, indexed by
+// global set number g. A cache level uses one set per (slice, set) pair
+// (slice-major, g = slice*nsets+set); the IP-stride prefetcher's history
+// table is a single set. Keeping every set in one flat engine avoids a heap
+// object per set and an interface dispatch per access.
+type Policies struct {
 	kind PolicyKind
 	ways int
 
@@ -42,16 +38,15 @@ type policyArray struct {
 	tpacked bool
 	tnodes  int
 
-	// Random: one counting source per set, seeded exactly as the seed code
-	// seeded its per-set randomPolicy instances.
+	// Random: one counting source per set, so the RNG position forks and
+	// hashes with the rest of the state.
 	srcs []*detrand.Source // [gset]
 }
 
-// newPolicyArray builds the flat engine for gsets sets of the given kind.
-// seedOf must reproduce the per-set seed the seed implementation used
-// (PolicySeed + slice*1000 + set); only RandomPolicy consumes it.
-func newPolicyArray(kind PolicyKind, gsets, ways int, seedOf func(g int) int64) *policyArray {
-	pa := &policyArray{kind: kind, ways: ways}
+// NewPolicies builds the engine for gsets sets of ways ways each. seedOf
+// gives set g's seed; only RandomPolicy consumes it.
+func NewPolicies(kind PolicyKind, gsets, ways int, seedOf func(g int) int64) *Policies {
+	pa := &Policies{kind: kind, ways: ways}
 	switch kind {
 	case LRU, FIFO:
 		pa.clocks = make([]uint64, gsets)
@@ -96,10 +91,11 @@ func newPolicyArray(kind PolicyKind, gsets, ways int, seedOf func(g int) int64) 
 	return pa
 }
 
-func (pa *policyArray) name() string { return PolicyKind(pa.kind).String() }
+// Name identifies the policy.
+func (pa *Policies) Name() string { return pa.kind.String() }
 
-// touch records a hit on way w of global set g.
-func (pa *policyArray) touch(g, w int) {
+// Touch records a hit on way w of global set g.
+func (pa *Policies) Touch(g, w int) {
 	switch pa.kind {
 	case LRU:
 		pa.clocks[g]++
@@ -134,9 +130,10 @@ func (pa *policyArray) touch(g, w int) {
 	}
 }
 
-// victim selects the way to evict from global set g without changing state
-// (except RandomPolicy, which consumes one source draw like the seed code).
-func (pa *policyArray) victim(g int) int {
+// Victim selects the way to evict from global set g. It changes no state
+// except RandomPolicy's, which consumes one source draw; the subsequent
+// Insert records the fill.
+func (pa *Policies) Victim(g int) int {
 	switch pa.kind {
 	case LRU, FIFO:
 		stamps := pa.stamps[g*pa.ways : (g+1)*pa.ways]
@@ -185,8 +182,8 @@ func (pa *policyArray) victim(g int) int {
 	}
 }
 
-// insert records that way w of global set g was (re)filled.
-func (pa *policyArray) insert(g, w int) {
+// Insert records that way w of global set g was (re)filled.
+func (pa *Policies) Insert(g, w int) {
 	switch pa.kind {
 	case FIFO:
 		pa.clocks[g]++
@@ -194,54 +191,15 @@ func (pa *policyArray) insert(g, w int) {
 	case RandomPolicy:
 		// stateless
 	default:
-		pa.touch(g, w)
+		pa.Touch(g, w)
 	}
 }
 
-// save serialises set g's replacement state in the layout of the matching
-// standalone policy, so StateHash digests stay bit-identical to the seed's
-// per-set policies and fault injection can Save/Load one set's state.
-func (pa *policyArray) save(g int) []uint64 {
-	switch pa.kind {
-	case LRU, FIFO:
-		out := make([]uint64, 1+pa.ways)
-		out[0] = pa.clocks[g]
-		copy(out[1:], pa.stamps[g*pa.ways:(g+1)*pa.ways])
-		return out
-	case BitPLRU:
-		out := make([]uint64, 1+pa.ways)
-		out[0] = uint64(pa.ones[g])
-		base := g * pa.ways
-		for i := 0; i < pa.ways; i++ {
-			if pa.mru[base+i] {
-				out[1+i] = 1
-			}
-		}
-		return out
-	case TreePLRU:
-		out := make([]uint64, pa.tnodes)
-		if pa.tpacked {
-			word := pa.twords[g]
-			for i := range out {
-				out[i] = (word >> uint(i)) & 1
-			}
-			return out
-		}
-		base := g * pa.tnodes
-		for i := range out {
-			if pa.tbits[base+i] {
-				out[i] = 1
-			}
-		}
-		return out
-	default: // RandomPolicy
-		return []uint64{pa.srcs[g].Draws()}
-	}
-}
-
-// saveInto is save without the allocation: it appends set g's state to dst
-// (for the hash path, which discards the words immediately).
-func (pa *policyArray) saveInto(dst []uint64, g int) []uint64 {
+// AppendState appends set g's replacement state to dst as a flat word slice
+// and returns the extended slice. Layouts per kind: LRU/FIFO [clock,
+// stamps...], Bit-PLRU [ones, bits...], Tree-PLRU [nodes...] (tnodes words,
+// node 0 unused), Random [draws]. Load adopts the same layout.
+func (pa *Policies) AppendState(dst []uint64, g int) []uint64 {
 	switch pa.kind {
 	case LRU, FIFO:
 		dst = append(dst, pa.clocks[g])
@@ -279,10 +237,9 @@ func (pa *policyArray) saveInto(dst []uint64, g int) []uint64 {
 	}
 }
 
-// load adopts previously saved state for set g verbatim — like the
-// standalone policies, no sanitisation, so corrupted saves stick and audit
-// observes them.
-func (pa *policyArray) load(g int, state []uint64) {
+// Load adopts state previously produced by AppendState for set g verbatim:
+// no sanitisation, so a corrupted state sticks and Audit can observe it.
+func (pa *Policies) Load(g int, state []uint64) {
 	switch pa.kind {
 	case LRU, FIFO:
 		pa.clocks[g] = state[0]
@@ -313,16 +270,17 @@ func (pa *policyArray) load(g int, state []uint64) {
 	}
 }
 
-// audit checks set g's structural invariants, mirroring the standalone
-// policies' Audit rules (including the exact error strings, which the
-// fault-injection tests match on).
-func (pa *policyArray) audit(g int) error {
+// Audit checks set g's structural invariants and returns the first
+// violation, or nil. LRU and FIFO stamps never run ahead of the clock;
+// Bit-PLRU's ones counter matches its popcount and at least one MRU bit is
+// clear (Touch resets the all-ones state eagerly, never stores it).
+func (pa *Policies) Audit(g int) error {
 	switch pa.kind {
 	case LRU, FIFO:
 		base := g * pa.ways
 		for i := 0; i < pa.ways; i++ {
 			if pa.stamps[base+i] > pa.clocks[g] {
-				return fmt.Errorf("%s: way %d stamp %d ahead of clock %d", pa.name(), i, pa.stamps[base+i], pa.clocks[g])
+				return fmt.Errorf("%s: way %d stamp %d ahead of clock %d", pa.Name(), i, pa.stamps[base+i], pa.clocks[g])
 			}
 		}
 		return nil
@@ -346,31 +304,17 @@ func (pa *policyArray) audit(g int) error {
 	}
 }
 
-// setPolicyView adapts one global set of a policyArray to the Policy
-// interface, so PolicyAt keeps handing fault injection and tests a mutable
-// per-set policy object after the flattening.
-type setPolicyView struct {
-	pa *policyArray
-	g  int
-}
-
-func (v *setPolicyView) Touch(way int)       { v.pa.touch(v.g, way) }
-func (v *setPolicyView) Victim() int         { return v.pa.victim(v.g) }
-func (v *setPolicyView) Insert(way int)      { v.pa.insert(v.g, way) }
-func (v *setPolicyView) Name() string        { return v.pa.name() }
-func (v *setPolicyView) Save() []uint64      { return v.pa.save(v.g) }
-func (v *setPolicyView) Load(state []uint64) { v.pa.load(v.g, state) }
-func (v *setPolicyView) Audit() error        { return v.pa.audit(v.g) }
-
-// corruptViewBitPLRU is CorruptBitPLRU for a flattened set view.
-func corruptViewBitPLRU(v *setPolicyView) bool {
-	if v.pa.kind != BitPLRU || v.pa.ways == 0 {
+// CorruptBitPLRU forces set g into the forbidden Bit-PLRU all-ones state
+// (every MRU bit set, counter agreeing), which Touch can never produce and
+// Audit must flag. It reports false when the policy is not Bit-PLRU.
+func (pa *Policies) CorruptBitPLRU(g int) bool {
+	if pa.kind != BitPLRU || pa.ways == 0 {
 		return false
 	}
-	base := v.g * v.pa.ways
-	for i := 0; i < v.pa.ways; i++ {
-		v.pa.mru[base+i] = true
+	base := g * pa.ways
+	for i := 0; i < pa.ways; i++ {
+		pa.mru[base+i] = true
 	}
-	v.pa.ones[v.g] = int32(v.pa.ways)
+	pa.ones[g] = int32(pa.ways)
 	return true
 }

@@ -11,12 +11,12 @@ import "afterimage/internal/detrand"
 // per-access hot path, so the "cheap full-slice copy" arm of the fork
 // design wins outright.
 
-// clone deep-copies the replacement engine. Immutable precomputed tables
+// Clone deep-copies the replacement engine. Immutable precomputed tables
 // (tsetM/tclrM — Tree-PLRU touch masks, fixed at construction) are shared;
 // everything mutable is copied, and RandomPolicy sources are cloned at
 // their exact stream position so parent and fork draw identical victims.
-func (pa *policyArray) clone() *policyArray {
-	c := &policyArray{
+func (pa *Policies) Clone() *Policies {
+	c := &Policies{
 		kind:    pa.kind,
 		ways:    pa.ways,
 		tsetM:   pa.tsetM,
@@ -57,7 +57,7 @@ func (c *Cache) Fork() *Cache {
 	f.valid = append([]bool(nil), c.valid...)
 	f.prefetched = append([]bool(nil), c.prefetched...)
 	f.vcnt = append([]int32(nil), c.vcnt...)
-	f.pol = c.pol.clone()
+	f.pol = c.pol.Clone()
 	f.predLine, f.predIdx, f.predG, f.predOK = 0, 0, 0, false
 	return &f
 }

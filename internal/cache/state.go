@@ -22,7 +22,7 @@ func (c *Cache) StateHash() uint64 {
 	scratch := make([]uint64, 0, c.ways+2)
 	for g := 0; g < gsets; g++ {
 		base := g * c.ways
-		scratch = c.pol.saveInto(scratch[:0], g)
+		scratch = c.pol.AppendState(scratch[:0], g)
 		h.U64s(c.lines[base : base+c.ways]).
 			Bools(c.valid[base : base+c.ways]).
 			Bools(c.prefetched[base : base+c.ways]).
@@ -60,7 +60,7 @@ func (c *Cache) Audit() []error {
 				}
 			}
 		}
-		if err := c.pol.audit(g); err != nil {
+		if err := c.pol.Audit(g); err != nil {
 			errs = append(errs, fmt.Errorf("cache %q: slice %d set %d policy: %w", c.cfg.Name, si, i, err))
 		}
 	}
@@ -76,11 +76,4 @@ func (c *Cache) VisitLines(fn func(line uint64) bool) {
 			return
 		}
 	}
-}
-
-// PolicyAt exposes the replacement policy of one set (slice-major indexing)
-// so fault injection can corrupt replacement state directly. The returned
-// view mutates the cache's flat policy engine in place.
-func (c *Cache) PolicyAt(slice int, set uint64) Policy {
-	return &setPolicyView{pa: c.pol, g: slice*int(c.nsets) + int(set)}
 }

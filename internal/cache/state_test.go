@@ -12,7 +12,7 @@ import (
 // a second fork — replacement state (Random's RNG position included) is
 // copied, not shared.
 func TestCacheForkEveryPolicy(t *testing.T) {
-	for _, pol := range []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy} {
+	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			c := MustNew(small(pol))
 			for i := uint64(0); i < 40; i++ {
@@ -100,8 +100,8 @@ func TestBitPLRUCorruptionCaught(t *testing.T) {
 	if errs := c.Audit(); len(errs) != 0 {
 		t.Fatalf("clean Bit-PLRU fails audit: %v", errs)
 	}
-	if !CorruptBitPLRU(c.PolicyAt(0, 0)) {
-		t.Skip("set 0 policy not Bit-PLRU")
+	if !c.pol.CorruptBitPLRU(0) {
+		t.Fatal("CorruptBitPLRU refused a Bit-PLRU engine")
 	}
 	if errs := c.Audit(); len(errs) == 0 {
 		t.Fatal("audit missed the Bit-PLRU corruption")

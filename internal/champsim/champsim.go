@@ -135,7 +135,7 @@ func (s *Simulator) Fork() *Simulator {
 	return &Simulator{
 		cfg:       s.cfg,
 		mem:       s.mem.Fork(),
-		tlb:       s.tlb.Fork(nil),
+		tlb:       s.tlb.Fork(),
 		pref:      s.pref.Fork(),
 		nextFlush: s.nextFlush,
 		res:       s.res,

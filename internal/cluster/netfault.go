@@ -2,15 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"afterimage/internal/detrand"
 	"afterimage/internal/telemetry"
 )
 
@@ -28,7 +27,7 @@ var (
 // NetFaultConfig parameterises the deterministic network-fault injector.
 // Like internal/faults, the whole schedule is a pure function of the config:
 // the decision for the n-th request to a host is derived from (Seed, host, n)
-// by FNV-1a hashing, so two injectors with equal configs fault the identical
+// by detrand.Uniform, so two injectors with equal configs fault the identical
 // requests in the identical ways — every failover path a chaos run takes is
 // reproducible from its seed.
 type NetFaultConfig struct {
@@ -125,15 +124,15 @@ type netFaultDecision struct {
 // host. Exported through Schedule for the determinism tests.
 func (cfg NetFaultConfig) decide(host string, n uint64) netFaultDecision {
 	var d netFaultDecision
-	if chance(cfg.Seed, host, n, "drop") < cfg.DropRate {
+	if detrand.Uniform(cfg.Seed, n, host, "drop") < cfg.DropRate {
 		d.Drop = true
 		return d // a dropped request is never also delayed or duplicated
 	}
-	if chance(cfg.Seed, host, n, "delay") < cfg.DelayRate {
-		frac := chance(cfg.Seed, host, n, "delay-amount")
+	if detrand.Uniform(cfg.Seed, n, host, "delay") < cfg.DelayRate {
+		frac := detrand.Uniform(cfg.Seed, n, host, "delay-amount")
 		d.Delay = time.Duration(float64(cfg.MaxDelay) * frac)
 	}
-	if chance(cfg.Seed, host, n, "dup") < cfg.DuplicateRate {
+	if detrand.Uniform(cfg.Seed, n, host, "dup") < cfg.DuplicateRate {
 		d.Duplicate = true
 	}
 	return d
@@ -154,20 +153,6 @@ func (cfg NetFaultConfig) Schedule(host string, n int) []netFaultDecision {
 	return out
 }
 
-// chance maps (seed, host, n, salt) to a uniform [0, 1) — the same FNV-1a
-// construction as the runner's backoff jitter, salted per decision so the
-// drop, delay, and duplicate draws for one request are independent.
-func chance(seed int64, host string, n uint64, salt string) float64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], n)
-	h.Write(buf[:])
-	io.WriteString(h, host)
-	io.WriteString(h, salt)
-	return float64(h.Sum64()%(1<<20)) / float64(1<<20)
-}
-
 // RoundTrip applies the schedule: partition check, then the seeded
 // drop/delay/duplicate decision, then the wrapped transport.
 func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -175,7 +160,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	in.mu.Lock()
 	if in.partitioned[host] {
 		in.mu.Unlock()
-		incIf(in.partitions)
+		in.partitions.Inc()
 		drainBody(req)
 		return nil, fmt.Errorf("%w: %s", ErrInjectedPartition, host)
 	}
@@ -185,12 +170,12 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	d := in.cfg.decide(host, n)
 	if d.Drop {
-		incIf(in.drops)
+		in.drops.Inc()
 		drainBody(req)
 		return nil, fmt.Errorf("%w: %s request %d", ErrInjectedDrop, host, n)
 	}
 	if d.Delay > 0 {
-		incIf(in.delays)
+		in.delays.Inc()
 		if err := sleepInjected(req.Context(), d.Delay); err != nil {
 			drainBody(req)
 			return nil, err
@@ -201,7 +186,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 			// The duplicate's response is the one the network "lost".
 			io.Copy(io.Discard, first.Body)
 			first.Body.Close()
-			incIf(in.duplicates)
+			in.duplicates.Inc()
 		}
 		body, err := req.GetBody()
 		if err != nil {
@@ -241,11 +226,5 @@ func sleepInjected(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	case <-t.C:
 		return nil
-	}
-}
-
-func incIf(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
 	}
 }

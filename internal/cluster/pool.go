@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"afterimage/internal/detrand"
 	"afterimage/internal/obslog"
 	"afterimage/internal/telemetry"
 )
@@ -124,10 +125,12 @@ func (p *pool) updateHealthyGauge() {
 
 // rankWorkers orders candidates for a key by rendezvous (highest-random-
 // weight) hashing: every (worker, key) pair gets an FNV-1a score mixed by
-// fmix64, and workers are sorted descending. Each campaign key therefore
-// has a stable preferred worker for any given membership, shards spread
-// uniformly, and membership changes only remap the keys that hashed to the
-// departed worker.
+// detrand.Mix64, and workers are sorted descending. Each campaign key
+// therefore has a stable preferred worker for any given membership, shards
+// spread uniformly, and membership changes only remap the keys that hashed
+// to the departed worker. Without the mix, raw FNV-1a scores of workers
+// whose addresses differ in one byte (a port digit) keep nearly the same
+// order whatever key follows, so one worker would win almost every key.
 func rankWorkers(workers []*worker, key string) []*worker {
 	type scored struct {
 		w     *worker
@@ -139,7 +142,7 @@ func rankWorkers(workers []*worker, key string) []*worker {
 		io.WriteString(h, w.addr)
 		io.WriteString(h, "|")
 		io.WriteString(h, key)
-		ranked = append(ranked, scored{w, fmix64(h.Sum64())})
+		ranked = append(ranked, scored{w, detrand.Mix64(h.Sum64())})
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].score != ranked[j].score {
@@ -152,19 +155,6 @@ func rankWorkers(workers []*worker, key string) []*worker {
 		out[i] = s.w
 	}
 	return out
-}
-
-// fmix64 is murmur3's 64-bit finalizer. Raw FNV-1a scores of workers whose
-// addresses differ in one byte (a port digit) keep nearly the same order
-// whatever key follows, so without this avalanche step one worker would
-// win almost every key.
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // latencyRing keeps the most recent dispatch durations for the hedging

@@ -10,9 +10,17 @@
 // The wrapper is stream-identical to rand.New(rand.NewSource(seed)): it
 // implements rand.Source64 and delegates both Int63 and Uint64 to the
 // underlying runtime source, so swapping it in changes no simulated outcome.
+//
+// Uniform is the stateless counterpart for fault schedules and backoff
+// jitter: a pure function of (seed, slot, key) that needs no stream at all.
 package detrand
 
-import "math/rand"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"io"
+	"math/rand"
+)
 
 // Source is a counting rand.Source64. Not safe for concurrent use — exactly
 // like the rand.Rand values it backs.
@@ -83,4 +91,34 @@ func (s *Source) Clone() *Source {
 	c := NewSource(s.seed)
 	c.Restore(s.draws)
 	return c
+}
+
+// Uniform maps (seed, n, parts) to [0, 1) with 2^-20 resolution: FNV-1a over
+// little-endian seed, then n, then each part, finalized by Mix64, keeping
+// the low 20 bits. It is a pure function, so a schedule keyed by it replays
+// exactly; callers salt the parts per decision so draws for one slot are
+// independent.
+func Uniform(seed int64, n uint64, parts ...string) float64 {
+	h := fnv.New64a()
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
+	binary.LittleEndian.PutUint64(buf[8:], n)
+	h.Write(buf[:])
+	for _, p := range parts {
+		io.WriteString(h, p)
+	}
+	return float64(Mix64(h.Sum64())%(1<<20)) / float64(1<<20)
+}
+
+// Mix64 is murmur3's 64-bit finalizer. FNV-1a's multiply carries only
+// upward, so the low bits of a raw digest depend only on the low bits of
+// every input byte; inputs that differ in a counter or a port digit then
+// land in clustered low bits. Mix64 folds the high bits back down.
+func Mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

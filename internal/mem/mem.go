@@ -10,7 +10,6 @@ package mem
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"afterimage/internal/detrand"
 )
@@ -80,6 +79,7 @@ func (k MapKind) String() string {
 type PhysMemory struct {
 	nextFrame uint64
 	frames    uint64 // capacity in frames
+	lastASID  uint64 // ASIDs of the address spaces backed by this memory: 1, 2, 3… in creation order
 }
 
 // NewPhysMemory builds a physical memory with the given capacity in bytes.
@@ -215,8 +215,9 @@ func (pt *pageTable) setOverflow(vpn, pfn uint64) {
 
 // AddressSpace is one process's (or the kernel's) virtual address space.
 type AddressSpace struct {
-	// ID is a unique address-space identifier (the PCID/ASID used to tag
-	// TLB entries, so translations survive context switches).
+	// ID is the address-space identifier (the PCID/ASID used to tag TLB
+	// entries, so translations survive context switches), unique among the
+	// address spaces backed by the same PhysMemory.
 	ID       uint64
 	Name     string
 	phys     *PhysMemory
@@ -227,17 +228,13 @@ type AddressSpace struct {
 	aslrSrc  *detrand.Source // counting source backing aslr (nil iff aslr is)
 }
 
-// nextASID is atomic: labs on parallel campaign workers allocate address
-// spaces concurrently, and ASIDs are only ever compared for equality (TLB
-// entry tags), so allocation order does not affect any simulated outcome.
-var nextASID atomic.Uint64
-
 // NewAddressSpace creates an address space backed by phys. When aslrSeed is
 // non-zero, mmap bases are randomised at page granularity (Level-2 ASLR);
 // a zero seed disables randomisation for reproducible layouts.
 func NewAddressSpace(name string, phys *PhysMemory, aslrSeed int64) *AddressSpace {
+	phys.lastASID++
 	as := &AddressSpace{
-		ID:       nextASID.Add(1),
+		ID:       phys.lastASID,
 		Name:     name,
 		phys:     phys,
 		nextBase: VAddr(0x5555_0000_0000),
@@ -381,14 +378,14 @@ func (pt *pageTable) clone() pageTable {
 }
 
 // Clone returns an independent deep copy of the address space backed by
-// phys (normally the forked machine's own PhysMemory clone). The copy gets
-// a fresh ASID — TLB entries tagged with the parent's ASID must be remapped
-// by the caller — while page tables, mappings, allocation cursor, and ASLR
-// stream position are byte-identical, so subsequent Mmap calls in parent
-// and clone pick the same bases.
+// phys (normally the forked machine's own PhysMemory clone, which continues
+// the parent's ASID numbering). The copy keeps the parent's ASID, so TLB
+// entries copied from the parent stay valid for it, and its page tables,
+// mappings, allocation cursor and ASLR stream position are byte-identical,
+// so subsequent Mmap calls in parent and clone pick the same bases.
 func (as *AddressSpace) Clone(phys *PhysMemory) *AddressSpace {
 	c := &AddressSpace{
-		ID:       nextASID.Add(1),
+		ID:       as.ID,
 		Name:     as.Name,
 		phys:     phys,
 		pages:    as.pages.clone(),

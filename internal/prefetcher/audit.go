@@ -3,7 +3,6 @@ package prefetcher
 import (
 	"fmt"
 
-	"afterimage/internal/cache"
 	"afterimage/internal/mem"
 	"afterimage/internal/statehash"
 )
@@ -47,7 +46,7 @@ func (p *IPStride) Audit() []error {
 			errs = append(errs, fmt.Errorf("ipstride: slots %d and %d share lookup key (tag %#x)", i, j, e.Tag))
 		}
 	}
-	if err := p.policy.Audit(); err != nil {
+	if err := p.policy.Audit(0); err != nil {
 		errs = append(errs, fmt.Errorf("ipstride: policy: %w", err))
 	}
 	if p.lastIssue.valid && p.lastIssue.base.Frame() != p.lastIssue.target.Frame() {
@@ -73,7 +72,7 @@ func (p *IPStride) CorruptConfidence(i int, conf int) {
 
 // CorruptPLRU forces the history table's Bit-PLRU into the forbidden
 // all-ones state. It reports false when the table uses another policy.
-func (p *IPStride) CorruptPLRU() bool { return cache.CorruptBitPLRU(p.policy) }
+func (p *IPStride) CorruptPLRU() bool { return p.policy.CorruptBitPLRU(0) }
 
 // CorruptCrossFrame poisons the issued-prefetch record with a target in the
 // frame after its trigger — the §4.3 containment violation.
@@ -111,7 +110,7 @@ func (p *IPStride) StateHash() uint64 {
 			h.U64(e.Tag).U64(e.FullIP).Int(e.PID).U64(uint64(e.LastAddr)).I64(e.Stride).Int(e.Confidence)
 		}
 	}
-	h.U64s(p.policy.Save())
+	h.U64s(p.policy.AppendState(nil, 0))
 	h.Bool(p.lastIssue.valid).U64(uint64(p.lastIssue.base)).U64(uint64(p.lastIssue.target))
 	h.U64(p.stats.Lookups).U64(p.stats.Trains).U64(p.stats.Allocs).U64(p.stats.Evictions)
 	h.U64(p.stats.Prefetches).U64(p.stats.PageDrops).U64(p.stats.Relearns).U64(p.stats.TLBSkips).U64(p.stats.Flushes)

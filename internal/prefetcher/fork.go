@@ -1,7 +1,5 @@
 package prefetcher
 
-import "afterimage/internal/cache"
-
 // Fork support: deep-copy the prefetcher suite for Machine.Fork. State is
 // copied verbatim — including deliberately corrupted state, which must
 // survive for the auditor to flag.
@@ -13,12 +11,11 @@ func (p *IPStride) Fork() *IPStride {
 	f := &IPStride{
 		cfg:      p.cfg,
 		entries:  append([]Entry(nil), p.entries...),
-		policy:   cache.NewPolicy(p.cfg.Policy, p.cfg.Entries, 1),
+		policy:   p.policy.Clone(),
 		mask:     p.mask,
 		NextPage: p.NextPage,
 		stats:    p.stats,
 	}
-	f.policy.Load(p.policy.Save())
 	f.lastIssue = p.lastIssue
 	return f
 }

@@ -86,7 +86,7 @@ type Entry struct {
 type IPStride struct {
 	cfg     IPStrideConfig
 	entries []Entry
-	policy  cache.Policy
+	policy  *cache.Policies // one set of cfg.Entries ways
 	mask    uint64
 
 	// NextPage enables the Haswell next-page assist: an access whose frame
@@ -137,7 +137,7 @@ func NewIPStride(cfg IPStrideConfig) *IPStride {
 	return &IPStride{
 		cfg:      cfg,
 		entries:  make([]Entry, cfg.Entries),
-		policy:   cache.NewPolicy(cfg.Policy, cfg.Entries, 1),
+		policy:   cache.NewPolicies(cfg.Policy, 1, cfg.Entries, func(int) int64 { return 1 }),
 		mask:     (1 << uint(cfg.IndexBits)) - 1,
 		NextPage: true,
 	}
@@ -317,7 +317,7 @@ func (p *IPStride) AppendOnLoad(a Access, reqs []Request) []Request {
 		return reqs
 	}
 	e := &p.entries[idx]
-	p.policy.Touch(idx)
+	p.policy.Touch(0, idx)
 	p.stats.Trains++
 
 	distance := int64(a.PA) - int64(e.LastAddr)
@@ -389,7 +389,7 @@ func (p *IPStride) allocate(a Access) {
 		}
 	}
 	if slot < 0 {
-		slot = p.policy.Victim()
+		slot = p.policy.Victim(0)
 		p.stats.Evictions++
 		if p.tel.TraceEnabled() {
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvPTEvict, Arg1: uint64(slot), Arg2: p.entries[slot].Tag})
@@ -402,7 +402,7 @@ func (p *IPStride) allocate(a Access) {
 		LastAddr: a.PA,
 		Valid:    true,
 	}
-	p.policy.Insert(slot)
+	p.policy.Insert(0, slot)
 	p.stats.Allocs++
 	if p.tel.TraceEnabled() {
 		p.tel.Emit(telemetry.Event{Kind: telemetry.EvPTInsert, Arg1: uint64(slot), Arg2: p.entries[slot].Tag})

@@ -1,9 +1,9 @@
 package runner
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"time"
+
+	"afterimage/internal/detrand"
 )
 
 // Delay computes the backoff before re-running a job whose attempt (0-based)
@@ -29,13 +29,7 @@ func Delay(base, max time.Duration, seed int64, key string, attempt int) time.Du
 	return time.Duration(float64(d) * jitter(seed, key, attempt))
 }
 
-// jitter maps (seed, key, attempt) to [0.5, 1.0) via FNV-1a.
+// jitter maps (seed, key, attempt) to [0.5, 1.0).
 func jitter(seed int64, key string, attempt int) float64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(attempt))
-	h.Write(buf[:])
-	h.Write([]byte(key))
-	return 0.5 + 0.5*float64(h.Sum64()%(1<<20))/float64(1<<20)
+	return 0.5 + 0.5*detrand.Uniform(seed, uint64(attempt), key)
 }

@@ -67,7 +67,7 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 		return st, nil // nothing to resume from; start fresh
 	}
 	if err != nil {
-		inc(c.checkpointDegraded)
+		c.checkpointDegraded.Inc()
 		log.Warn("checkpoint unreadable; resuming without it (campaign recomputes)",
 			obslog.F("path", path), obslog.F("err", err))
 		return st, nil
@@ -77,7 +77,7 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 		if qerr := fsys.Rename(path, path+".corrupt"); qerr != nil {
 			return nil, fmt.Errorf("runner: checkpoint %s is corrupt (%v) and could not be quarantined: %w", path, err, qerr)
 		}
-		inc(c.checkpointCorrupt)
+		c.checkpointCorrupt.Inc()
 		return st, nil
 	}
 	if f.Schema != CheckpointSchema {

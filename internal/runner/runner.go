@@ -216,18 +216,6 @@ func newCounters(reg *telemetry.Registry) counters {
 	}
 }
 
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func add(c *telemetry.Counter, n uint64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
-
 // Run executes the campaign and returns one JobResult per job, in job order.
 // Degraded jobs do not fail the campaign; the returned error is non-nil only
 // for campaign-level problems — duplicate keys, an unusable checkpoint, or
@@ -282,7 +270,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			if r, ok := cp.completed[j.Key]; ok {
 				r.Resumed = true
 				results[i] = r
-				inc(c.resumed)
+				c.resumed.Inc()
 				continue
 			}
 		}
@@ -308,12 +296,12 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			// Degrade to no-checkpoint, never to a failed campaign: the
 			// results in memory are intact, only resumability is lost.
 			cpDead = true
-			inc(c.checkpointDegraded)
+			c.checkpointDegraded.Inc()
 			o.Logger.Ctx(ctx).Warn("checkpoint write failed; checkpointing disabled for this campaign (resume unavailable)",
 				obslog.F("path", o.CheckpointPath), obslog.F("err", err))
 			return
 		}
-		inc(c.checkpointWrites)
+		c.checkpointWrites.Inc()
 		if o.OnCheckpoint != nil {
 			o.OnCheckpoint(len(cp.completed))
 		}
@@ -327,7 +315,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			defer wg.Done()
 			for idx := range work {
 				if ctx.Err() != nil {
-					inc(c.skipped)
+					c.skipped.Inc()
 					record(idx, JobResult{Key: jobs[idx].Key, Skipped: true})
 					continue
 				}
@@ -352,14 +340,14 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 	r := JobResult{Key: job.Key}
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
-			inc(c.skipped)
+			c.skipped.Inc()
 			return JobResult{Key: job.Key, Skipped: true}
 		}
 		jctx, cancel := ctx, context.CancelFunc(func() {})
 		if o.JobTimeout > 0 {
 			jctx, cancel = context.WithTimeout(ctx, o.JobTimeout)
 		}
-		inc(c.started)
+		c.started.Inc()
 		began := time.Now()
 		val, err := safeRun(jctx, job, attempt)
 		if c.attemptUS != nil {
@@ -376,14 +364,14 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			} else {
 				r.Value = raw
 				r.Err, r.FaultKind = "", "" // earlier attempts' failures are history
-				inc(c.completed)
+				c.completed.Inc()
 				return r
 			}
 		}
 		if ctx.Err() != nil {
 			// The campaign died under the job; its partial outcome must not
 			// be recorded as a degraded point — a resume will re-run it.
-			inc(c.skipped)
+			c.skipped.Inc()
 			return JobResult{Key: job.Key, Skipped: true}
 		}
 
@@ -402,10 +390,10 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			class = ClassTransient
 		}
 		if class == ClassTransient && attempt+1 < o.MaxAttempts {
-			inc(c.retried)
+			c.retried.Inc()
 			d := Delay(o.BackoffBase, o.BackoffMax, o.Seed, job.Key, attempt)
-			inc(c.backoffWaits)
-			add(c.backoffNanos, uint64(d))
+			c.backoffWaits.Inc()
+			c.backoffNanos.Add(uint64(d))
 			o.Logger.Ctx(ctx).Warn("job retrying", obslog.F("job", job.Key),
 				obslog.F("attempt", attempt+1), obslog.F("fault", r.FaultKind),
 				obslog.F("backoff", d), obslog.F("err", err))
@@ -419,7 +407,7 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			}
 		}
 		r.Degraded = true
-		inc(c.degraded)
+		c.degraded.Inc()
 		o.Logger.Ctx(ctx).Warn("job degraded", obslog.F("job", job.Key),
 			obslog.F("attempts", r.Attempts), obslog.F("class", class.String()),
 			obslog.F("err", err))

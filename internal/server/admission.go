@@ -70,7 +70,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 	a.mu.Lock()
 	if a.tenants[tenant] >= a.tenantQuota {
 		a.mu.Unlock()
-		inc(a.quotaRejected)
+		a.quotaRejected.Inc()
 		return nil, &apiError{
 			Status:     429,
 			Msg:        fmt.Sprintf("tenant %q is at its quota of %d concurrent campaigns", tenant, a.tenantQuota),
@@ -92,7 +92,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 	if n := a.queued.Add(1); n > a.queueDepth {
 		a.queued.Add(-1)
 		releaseTenant()
-		inc(a.shed)
+		a.shed.Inc()
 		return nil, &apiError{
 			Status:     429,
 			Msg:        fmt.Sprintf("admission queue is full (%d waiting)", a.queueDepth),
@@ -116,7 +116,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 	if a.queueWait != nil {
 		a.queueWait.Observe(uint64(time.Since(enqueued).Microseconds()))
 	}
-	inc(a.admitted)
+	a.admitted.Inc()
 
 	var once sync.Once
 	return func() {
@@ -125,10 +125,4 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 			releaseTenant()
 		})
 	}, nil
-}
-
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }

@@ -18,10 +18,10 @@ import (
 // configuration.
 //
 // Copied (deep): cache hierarchy (tags, replacement state, counters), TLB
-// (entries re-tagged to the fork's fresh ASIDs), prefetcher suite, physical
-// frame allocator, every address space (page tables, mappings, ASLR stream
-// position), jitter/noise RNGs at their exact draw counts, clock and all
-// scalar counters.
+// (entries verbatim), prefetcher suite, physical frame and ASID allocators,
+// every address space (ASID, page tables, mappings, ASLR stream position),
+// jitter/noise RNGs at their exact draw counts, clock and all scalar
+// counters.
 //
 // Rebuilt fresh (per-machine identity, never shared): the scheduler, the
 // telemetry hub with its registry samplers and latency histogram (samplers
@@ -72,27 +72,14 @@ func (m *Machine) Fork() (*Machine, error) {
 	f.noiseSrc = m.noiseSrc.Clone()
 	f.noise = rand.New(f.noiseSrc)
 
-	// Address spaces clone in creation order (kernel first, then processes),
-	// so asidNormalize assigns the same stable numbers on both machines and
-	// their state hashes agree. The clones draw fresh ASIDs from the global
-	// allocator; remap re-tags the copied TLB entries so the fork's warmed
-	// translations stay visible to its own processes. ASIDs outside the
-	// table — e.g. a CorruptInsert entry referencing a dead space — pass
-	// through raw, keeping audit-visible corruption audit-visible.
-	remap := make(map[uint64]uint64, len(m.procs)+1)
+	// Cloned address spaces keep their ASIDs (they are per machine), so the
+	// copied TLB entries stay visible to the fork's own processes.
 	f.Kernel = &Process{PID: KernelPID, Name: m.Kernel.Name, AS: m.Kernel.AS.Clone(f.Phys)}
-	remap[m.Kernel.AS.ID] = f.Kernel.AS.ID
 	f.procs = make([]*Process, len(m.procs))
 	for i, p := range m.procs {
 		f.procs[i] = &Process{PID: p.PID, Name: p.Name, AS: p.AS.Clone(f.Phys)}
-		remap[p.AS.ID] = f.procs[i].AS.ID
 	}
-	f.TLB = m.TLB.Fork(func(asid uint64) uint64 {
-		if n, ok := remap[asid]; ok {
-			return n
-		}
-		return asid
-	})
+	f.TLB = m.TLB.Fork()
 
 	// Re-point the kernel noise region at the fork's own copy of the same
 	// mapping (matched by position — Mappings preserves creation order).

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // Forked-machine selfcheck suite: Machine.Fork must hand back a machine the
-// full invariant registry accepts (TLB coherence under remapped ASIDs,
+// full invariant registry accepts (TLB coherence under the copied ASIDs,
 // noise-region identity, distinct spaces) and on which every corruption
 // class is still caught — with corruption on either side of the fork
 // invisible to the other.
@@ -55,8 +55,7 @@ func TestForkIsolatedFromParentCorruption(t *testing.T) {
 	}
 }
 
-// TestForkPreservesCorruptTLBEntries: Fork's ASID remap rewrites only VALID
-// entries through the parent→child table and passes unknown ASIDs raw, so
+// TestForkPreservesCorruptTLBEntries: Fork copies TLB entries verbatim, so
 // an injected desync survives the fork and the fork's own coherence audit
 // still catches it — forking never launders corruption.
 func TestForkPreservesCorruptTLBEntries(t *testing.T) {

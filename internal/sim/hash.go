@@ -2,23 +2,6 @@ package sim
 
 import "afterimage/internal/statehash"
 
-// asidNormalize maps the machine's raw ASIDs (allocated from a process-
-// global counter, so not reproducible across processes) onto stable values:
-// the kernel space becomes 1 and user processes 2, 3, ... in creation order.
-// Unknown ASIDs (a corrupted TLB entry) pass through raw.
-func (m *Machine) asidNormalize() func(uint64) uint64 {
-	table := map[uint64]uint64{m.Kernel.AS.ID: 1}
-	for i, p := range m.procs {
-		table[p.AS.ID] = uint64(i + 2)
-	}
-	return func(asid uint64) uint64 {
-		if n, ok := table[asid]; ok {
-			return n
-		}
-		return asid
-	}
-}
-
 // Component-hash keys, in the fixed order StateHash combines them.
 var componentOrder = []string{"cache.l1", "cache.l2", "cache.llc", "tlb", "prefetcher", "machine"}
 
@@ -30,7 +13,7 @@ func (m *Machine) ComponentHashes() map[string]uint64 {
 		"cache.l1":   m.Mem.L1.StateHash(),
 		"cache.l2":   m.Mem.L2.StateHash(),
 		"cache.llc":  m.Mem.LLC.StateHash(),
-		"tlb":        m.TLB.StateHash(m.asidNormalize()),
+		"tlb":        m.TLB.StateHash(),
 		"prefetcher": m.Pref.StateHash(),
 		"machine":    m.machineHash(),
 	}

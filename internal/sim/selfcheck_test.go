@@ -165,16 +165,22 @@ func TestAuditCadenceIsReadOnly(t *testing.T) {
 }
 
 // TestStateHashComparableAcrossMachines: two machines with the same seed
-// and workload hash identically even though their raw ASIDs differ (the
-// process-global allocator keeps counting) — the normalization contract.
+// and workload hash identically, and their ASIDs agree too — ASIDs are
+// allocated per machine, so building a second machine in the same process
+// does not shift them.
 func TestStateHashComparableAcrossMachines(t *testing.T) {
 	build := func() *Machine {
 		m, _, _ := warmMachine(t)
 		return m
 	}
 	a, b := build(), build()
-	if a.Kernel.AS.ID == b.Kernel.AS.ID {
-		t.Fatal("test broken: both machines share raw ASIDs")
+	if a.Kernel.AS.ID != b.Kernel.AS.ID || len(a.procs) != len(b.procs) {
+		t.Fatal("machines built alike allocated different address spaces")
+	}
+	for i := range a.procs {
+		if a.procs[i].AS.ID != b.procs[i].AS.ID {
+			t.Fatalf("process %d: ASID %d vs %d", i, a.procs[i].AS.ID, b.procs[i].AS.ID)
+		}
 	}
 	ha, hb := a.ComponentHashes(), b.ComponentHashes()
 	for name, va := range ha {

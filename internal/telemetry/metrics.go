@@ -18,13 +18,23 @@ import (
 )
 
 // Counter is a monotonically increasing (but resettable) atomic counter.
+// Inc and Add are no-ops on a nil *Counter, so a component built without a
+// registry can count unconditionally.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }

@@ -18,6 +18,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("counter after reset = %d", c.Value())
 	}
+	var nilc *Counter // an unregistered counter: counting is a no-op
+	nilc.Inc()
+	nilc.Add(4)
 
 	var g Gauge
 	g.Set(7)

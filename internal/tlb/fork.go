@@ -1,19 +1,13 @@
 package tlb
 
-// Fork support: deep-copy the TLB for Machine.Fork. Forked address spaces
-// get fresh ASIDs (the allocator is process-global), so the copied entries
-// must be re-tagged from parent ASIDs to the fork's — otherwise the warmed
-// translations would be invisible to the forked processes and the fork's
-// first loads would take page walks the parent didn't.
+// Fork support: deep-copy the TLB for Machine.Fork. ASIDs are allocated per
+// machine and forked address spaces keep theirs, so entries copy verbatim —
+// including stale tags in invalid slots and corrupted entries, which must
+// survive the fork for the coherence checker to flag.
 
-// fork deep-copies one translation array, rewriting the ASID of every
-// VALID entry through remap. Invalid slots keep their stale tags verbatim
-// (they are unobservable, and the hash skips them), and remap is expected
-// to pass unknown ASIDs through unchanged so audit-visible corruption —
-// e.g. a CorruptInsert entry tagged with a dead ASID — survives the fork
-// for the coherence checker to flag.
-func (l *level) fork(remap func(asid uint64) uint64) *level {
-	c := &level{
+// fork deep-copies one translation array.
+func (l *level) fork() *level {
+	return &level{
 		ways:    l.ways,
 		setMask: l.setMask,
 		asids:   append([]uint64(nil), l.asids...),
@@ -22,31 +16,20 @@ func (l *level) fork(remap func(asid uint64) uint64) *level {
 		stamps:  append([]uint64(nil), l.stamps...),
 		clocks:  append([]uint64(nil), l.clocks...),
 	}
-	for i, v := range c.valid {
-		if v {
-			c.asids[i] = remap(c.asids[i])
-		}
-	}
-	return c
 }
 
-// Fork returns an independent deep copy with valid entries re-tagged
-// through remap (nil means identity). The way predictor is dropped: it
-// caches only a location, and the remap invalidates its (asid, vpn) key
-// anyway.
-func (t *TLB) Fork(remap func(asid uint64) uint64) *TLB {
-	if remap == nil {
-		remap = func(a uint64) uint64 { return a }
-	}
+// Fork returns an independent deep copy. The way predictor is dropped: it
+// caches only a location, so clearing it never changes observable state.
+func (t *TLB) Fork() *TLB {
 	f := &TLB{
 		cfg:      t.cfg,
-		l1:       t.l1.fork(remap),
+		l1:       t.l1.fork(),
 		hits:     t.hits,
 		misses:   t.misses,
 		stlbHits: t.stlbHits,
 	}
 	if t.stlb != nil {
-		f.stlb = t.stlb.fork(remap)
+		f.stlb = t.stlb.fork()
 	}
 	return f
 }

@@ -323,30 +323,25 @@ func (t *TLB) CorruptInsert(asid, vpn uint64) {
 	t.predOK = false
 }
 
-// StateHash folds the TLB's complete state into a stable digest. ASIDs are
-// allocated from a process-global counter, so the caller supplies normalize
-// to map raw ASIDs onto process-independent values; nil means identity.
-func (t *TLB) StateHash(normalize func(asid uint64) uint64) uint64 {
-	if normalize == nil {
-		normalize = func(a uint64) uint64 { return a }
-	}
+// StateHash folds the TLB's complete state into a stable digest.
+func (t *TLB) StateHash() uint64 {
 	h := statehash.New()
-	t.l1.hashInto(h, normalize)
+	t.l1.hashInto(h)
 	if t.stlb != nil {
-		t.stlb.hashInto(h, normalize)
+		t.stlb.hashInto(h)
 	}
 	h.U64(t.hits).U64(t.misses).U64(t.stlbHits)
 	return h.Sum()
 }
 
-func (l *level) hashInto(h *statehash.Hash, normalize func(uint64) uint64) {
+func (l *level) hashInto(h *statehash.Hash) {
 	for si := 0; si < l.nsets(); si++ {
 		h.U64(l.clocks[si])
 		base := si * l.ways
 		for i := 0; i < l.ways; i++ {
 			h.Bool(l.valid[base+i])
 			if l.valid[base+i] {
-				h.U64(normalize(l.asids[base+i])).U64(l.vpns[base+i])
+				h.U64(l.asids[base+i]).U64(l.vpns[base+i])
 			}
 			h.U64(l.stamps[base+i])
 		}

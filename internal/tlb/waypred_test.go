@@ -47,7 +47,7 @@ func TestTLBPredictorBoundaries(t *testing.T) {
 		{"fork kills the prediction", func(t *testing.T, tl *TLB) {
 			tl.Lookup(1, va)
 			tl.Lookup(1, va)
-			f := tl.Fork(nil)
+			f := tl.Fork()
 			if f.predOK {
 				t.Fatal("predictor survived Fork")
 			}

@@ -1,11 +1,8 @@
 package vfs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	iofs "io/fs"
 	"sort"
 	"strconv"
@@ -14,6 +11,7 @@ import (
 	"sync/atomic"
 	"syscall"
 
+	"afterimage/internal/detrand"
 	"afterimage/internal/telemetry"
 )
 
@@ -41,7 +39,7 @@ const (
 // FaultConfig parameterises the deterministic filesystem-fault injector.
 // Like the cluster's net-fault injector, the whole schedule is a pure
 // function of the config: the decision for the n-th faultable operation on a
-// path is derived from (Seed, path, n) by FNV-1a hashing, so two injectors
+// path is derived from (Seed, path, n) by detrand.Uniform, so two injectors
 // with equal configs fault the identical operations in the identical ways —
 // every degradation path a disk-chaos run takes is reproducible from its
 // seed.
@@ -116,11 +114,11 @@ func injectedErr(errno error, op Op) error {
 // on path.
 func (cfg FaultConfig) decide(path string, n uint64) FaultDecision {
 	return FaultDecision{
-		ENOSPC:     fchance(cfg.Seed, path, n, "enospc") < cfg.ENOSPCRate,
-		EIO:        fchance(cfg.Seed, path, n, "eio") < cfg.EIORate,
-		Torn:       fchance(cfg.Seed, path, n, "torn") < cfg.TornWriteRate,
-		TornFrac:   fchance(cfg.Seed, path, n, "torn-frac"),
-		RenameFail: fchance(cfg.Seed, path, n, "rename") < cfg.RenameFailRate,
+		ENOSPC:     detrand.Uniform(cfg.Seed, n, path, "enospc") < cfg.ENOSPCRate,
+		EIO:        detrand.Uniform(cfg.Seed, n, path, "eio") < cfg.EIORate,
+		Torn:       detrand.Uniform(cfg.Seed, n, path, "torn") < cfg.TornWriteRate,
+		TornFrac:   detrand.Uniform(cfg.Seed, n, path, "torn-frac"),
+		RenameFail: detrand.Uniform(cfg.Seed, n, path, "rename") < cfg.RenameFailRate,
 	}
 }
 
@@ -134,20 +132,6 @@ func (cfg FaultConfig) Schedule(path string, n int) []FaultDecision {
 		out[i] = cfg.decide(path, uint64(i))
 	}
 	return out
-}
-
-// fchance maps (seed, path, n, salt) to a uniform [0, 1) — the same FNV-1a
-// construction as the net-fault injector, salted per fault kind so the draws
-// for one operation slot are independent.
-func fchance(seed int64, path string, n uint64, salt string) float64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], n)
-	h.Write(buf[:])
-	io.WriteString(h, path)
-	io.WriteString(h, salt)
-	return float64(h.Sum64()%(1<<20)) / float64(1<<20)
 }
 
 // FaultFS wraps an inner FS with the fault schedule cfg describes. Each path

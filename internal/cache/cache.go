@@ -41,6 +41,9 @@ func (c Config) Validate() error {
 	if c.SizeBytes%per != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible by ways*line*slices", c.Name, c.SizeBytes)
 	}
+	if c.Policy == TreePLRU && c.Ways > 64 {
+		return fmt.Errorf("cache %q: Tree-PLRU supports at most 64 ways, got %d", c.Name, c.Ways)
+	}
 	return nil
 }
 
@@ -52,9 +55,8 @@ func (c Config) Validate() error {
 // Policies engine, so an access is pure index arithmetic: no per-set heap
 // objects, no interface dispatch, no pointer chasing. The "global set"
 // number g = slice*nsets + set is the unit the policy engine and the
-// hash/audit code agree on; iteration over g visits sets in exactly the
-// slice-major order the seed implementation used, which keeps StateHash
-// and VisitLines bit-identical.
+// audit code agree on; iteration over g visits sets in the slice-major
+// order the seed implementation used, which keeps VisitLines unchanged.
 type Cache struct {
 	cfg     Config
 	nslices int
@@ -70,7 +72,7 @@ type Cache struct {
 	lines      []uint64 // [gset*ways+way] physical line address
 	valid      []bool   // [gset*ways+way]
 	prefetched []bool   // [gset*ways+way] prefetch-installed, not yet demand-hit
-	vcnt       []int32  // [gset] popcount of valid (derived, not hashed)
+	vcnt       []int32  // [gset] popcount of valid
 	pol        *Policies
 
 	// One-entry direct-mapped way predictor: the flat index where predLine

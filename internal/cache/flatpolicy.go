@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"afterimage/internal/detrand"
+	"afterimage/internal/statehash"
 )
 
 // Policies is the replacement engine: it holds the per-set replacement
@@ -25,18 +26,15 @@ type Policies struct {
 	mru  []bool  // [gset*ways+way]
 	ones []int32 // [gset]
 
-	// TreePLRU: the internal nodes of a complete binary tree per set;
-	// tnodes is the round-up power of two of ways (bits 1..tnodes-1 used).
-	// When the tree fits a machine word (tnodes ≤ 64, i.e. ways ≤ 64 —
-	// every modelled cache), the nodes are packed one word per set with
-	// node i at bit i, and a touch is two precomputed masks instead of a
-	// root walk; larger trees fall back to the per-node bool slice.
-	tbits   []bool   // [gset*tnodes+node] (only when !tpacked)
-	twords  []uint64 // [gset] packed tree (only when tpacked)
-	tsetM   []uint64 // [way] bits a touch of this way sets
-	tclrM   []uint64 // [way] bits a touch of this way clears
-	tpacked bool
-	tnodes  int
+	// TreePLRU: the internal nodes of a complete binary tree per set,
+	// packed one word per set with node i at bit i; tnodes is the round-up
+	// power of two of ways (bits 1..tnodes-1 used). Config validation caps
+	// Tree-PLRU at 64 ways, so every tree fits its word, and a touch is two
+	// precomputed masks instead of a root walk.
+	twords []uint64 // [gset]
+	tsetM  []uint64 // [way] bits a touch of this way sets
+	tclrM  []uint64 // [way] bits a touch of this way clears
+	tnodes int
 
 	// Random: one counting source per set, so the RNG position forks and
 	// hashes with the rest of the state.
@@ -59,26 +57,24 @@ func NewPolicies(kind PolicyKind, gsets, ways int, seedOf func(g int) int64) *Po
 		for n < ways {
 			n <<= 1
 		}
+		if n > 64 {
+			panic(fmt.Sprintf("cache: Tree-PLRU over %d ways exceeds one 64-bit tree word", ways))
+		}
 		pa.tnodes = n
-		if n <= 64 {
-			pa.tpacked = true
-			pa.twords = make([]uint64, gsets)
-			pa.tsetM = make([]uint64, ways)
-			pa.tclrM = make([]uint64, ways)
-			for w := 0; w < ways; w++ {
-				idx := n + w
-				for idx > 1 {
-					parent := idx / 2
-					if idx%2 == 0 {
-						pa.tsetM[w] |= 1 << uint(parent)
-					} else {
-						pa.tclrM[w] |= 1 << uint(parent)
-					}
-					idx = parent
+		pa.twords = make([]uint64, gsets)
+		pa.tsetM = make([]uint64, ways)
+		pa.tclrM = make([]uint64, ways)
+		for w := 0; w < ways; w++ {
+			idx := n + w
+			for idx > 1 {
+				parent := idx / 2
+				if idx%2 == 0 {
+					pa.tsetM[w] |= 1 << uint(parent)
+				} else {
+					pa.tclrM[w] |= 1 << uint(parent)
 				}
+				idx = parent
 			}
-		} else {
-			pa.tbits = make([]bool, gsets*n)
 		}
 	case RandomPolicy:
 		pa.srcs = make([]*detrand.Source, gsets)
@@ -114,17 +110,7 @@ func (pa *Policies) Touch(g, w int) {
 			pa.ones[g] = 1
 		}
 	case TreePLRU:
-		if pa.tpacked {
-			pa.twords[g] = (pa.twords[g] &^ pa.tclrM[w]) | pa.tsetM[w]
-			return
-		}
-		tbits := pa.tbits[g*pa.tnodes : (g+1)*pa.tnodes]
-		idx := pa.tnodes + w
-		for idx > 1 {
-			parent := idx / 2
-			tbits[parent] = idx%2 == 0
-			idx = parent
-		}
+		pa.twords[g] = (pa.twords[g] &^ pa.tclrM[w]) | pa.tsetM[w]
 	case FIFO, RandomPolicy:
 		// recency-blind
 	}
@@ -153,26 +139,12 @@ func (pa *Policies) Victim(g int) int {
 		}
 		return 0 // unreachable: touch never leaves all bits set
 	case TreePLRU:
-		var v int
-		if pa.tpacked {
-			word := pa.twords[g]
-			idx := 1
-			for idx < pa.tnodes {
-				idx = 2*idx + int((word>>uint(idx))&1)
-			}
-			v = idx - pa.tnodes
-		} else {
-			tbits := pa.tbits[g*pa.tnodes : (g+1)*pa.tnodes]
-			idx := 1
-			for idx < pa.tnodes {
-				if tbits[idx] {
-					idx = 2*idx + 1
-				} else {
-					idx = 2 * idx
-				}
-			}
-			v = idx - pa.tnodes
+		word := pa.twords[g]
+		idx := 1
+		for idx < pa.tnodes {
+			idx = 2*idx + int((word>>uint(idx))&1)
 		}
+		v := idx - pa.tnodes
 		if v >= pa.ways {
 			v = pa.ways - 1
 		}
@@ -195,79 +167,18 @@ func (pa *Policies) Insert(g, w int) {
 	}
 }
 
-// AppendState appends set g's replacement state to dst as a flat word slice
-// and returns the extended slice. Layouts per kind: LRU/FIFO [clock,
-// stamps...], Bit-PLRU [ones, bits...], Tree-PLRU [nodes...] (tnodes words,
-// node 0 unused), Random [draws]. Load adopts the same layout.
-func (pa *Policies) AppendState(dst []uint64, g int) []uint64 {
-	switch pa.kind {
-	case LRU, FIFO:
-		dst = append(dst, pa.clocks[g])
-		return append(dst, pa.stamps[g*pa.ways:(g+1)*pa.ways]...)
-	case BitPLRU:
-		dst = append(dst, uint64(pa.ones[g]))
-		base := g * pa.ways
-		for i := 0; i < pa.ways; i++ {
-			if pa.mru[base+i] {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
+// Walk visits the engine's mutable state: per-kind slices (the unused
+// kinds' are nil) and the Random sources at their stream positions. The
+// tree masks, kind, ways and tnodes are geometry, fixed at construction.
+func (pa *Policies) Walk(w statehash.Walk) {
+	w.U64s(&pa.clocks).U64s(&pa.stamps).Bools(&pa.mru).I32s(&pa.ones).U64s(&pa.twords)
+	statehash.Each(w, &pa.srcs, func(s **detrand.Source) {
+		if w.Copies() {
+			*s = (*s).Clone()
+		} else {
+			w.U64((*s).Draws())
 		}
-		return dst
-	case TreePLRU:
-		if pa.tpacked {
-			word := pa.twords[g]
-			for i := 0; i < pa.tnodes; i++ {
-				dst = append(dst, (word>>uint(i))&1)
-			}
-			return dst
-		}
-		base := g * pa.tnodes
-		for i := 0; i < pa.tnodes; i++ {
-			if pa.tbits[base+i] {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		}
-		return dst
-	default: // RandomPolicy
-		return append(dst, pa.srcs[g].Draws())
-	}
-}
-
-// Load adopts state previously produced by AppendState for set g verbatim:
-// no sanitisation, so a corrupted state sticks and Audit can observe it.
-func (pa *Policies) Load(g int, state []uint64) {
-	switch pa.kind {
-	case LRU, FIFO:
-		pa.clocks[g] = state[0]
-		copy(pa.stamps[g*pa.ways:(g+1)*pa.ways], state[1:])
-	case BitPLRU:
-		pa.ones[g] = int32(state[0])
-		base := g * pa.ways
-		for i := 0; i < pa.ways; i++ {
-			pa.mru[base+i] = state[1+i] != 0
-		}
-	case TreePLRU:
-		if pa.tpacked {
-			var word uint64
-			for i := 0; i < pa.tnodes; i++ {
-				if state[i] != 0 {
-					word |= 1 << uint(i)
-				}
-			}
-			pa.twords[g] = word
-			return
-		}
-		base := g * pa.tnodes
-		for i := 0; i < pa.tnodes; i++ {
-			pa.tbits[base+i] = state[i] != 0
-		}
-	default: // RandomPolicy
-		pa.srcs[g].Restore(state[0])
-	}
+	})
 }
 
 // Audit checks set g's structural invariants and returns the first

@@ -126,6 +126,9 @@ func (c IPStrideConfig) Validate() error {
 	if c.Entries <= 0 || c.IndexBits <= 0 || c.IndexBits > 64 {
 		return fmt.Errorf("prefetcher: invalid config %+v", c)
 	}
+	if c.Policy == cache.TreePLRU && c.Entries > 64 {
+		return fmt.Errorf("prefetcher: Tree-PLRU supports at most 64 entries, got %d", c.Entries)
+	}
 	return nil
 }
 

@@ -28,6 +28,23 @@ func feed(p *IPStride, ip uint64, pas ...uint64) []Request {
 
 func newDefault() *IPStride { return NewIPStride(DefaultIPStrideConfig()) }
 
+// TestIPStrideConfigValidate: the default validates, and a Tree-PLRU table
+// wider than one 64-bit tree word is rejected (64 entries is the limit).
+func TestIPStrideConfigValidate(t *testing.T) {
+	cfg := DefaultIPStrideConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	cfg.Policy, cfg.Entries = cache.TreePLRU, 64
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("64-entry Tree-PLRU rejected: %v", err)
+	}
+	cfg.Entries = 65
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("65-entry Tree-PLRU validated")
+	}
+}
+
 func TestThirdAccessIssuesFirstPrefetch(t *testing.T) {
 	p := newDefault()
 	base := uint64(0x10000)

@@ -223,10 +223,11 @@ func TestSnapshotRefusedWhileRunning(t *testing.T) {
 // (and invalidates recorded replay checkpoints).
 func TestStateHashGolden(t *testing.T) {
 	m, _, _ := warmMachine(t)
-	// Updated when statehash moved to word-granularity FNV folding (the
-	// octet fold dominated sweep-point cost); the digest definition change
-	// was intentional and invalidates checkpoints recorded before it.
-	const golden = uint64(0x57f7191f26856d34)
+	// Updated when each component's digest became a walk over whole arrays
+	// in field order (cache, TLB and prefetcher state walks); the definition
+	// change was intentional, and replaying a checkpoint recorded before it
+	// reports divergence.
+	const golden = uint64(0x3a6253219394deda)
 	got := m.StateHash()
 	if got != golden {
 		t.Fatalf("state hash %#x, want golden %#x", got, golden)

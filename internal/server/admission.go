@@ -62,10 +62,11 @@ func newAdmission(maxConcurrent, queueDepth, tenantQuota int, retryAfter time.Du
 	return a
 }
 
-// acquire admits one campaign for tenant, blocking in the bounded queue when
-// all execution slots are busy. It returns a release closure on success and
-// an *apiError (429/503) when the tenant is over quota, the queue is full,
-// or ctx ends while waiting. release is idempotent.
+// acquire admits one campaign for tenant, taking a free execution slot at
+// once or else blocking in the bounded queue; only arrivals that find every
+// slot busy count against queueDepth. It returns a release closure on
+// success and an *apiError (429/503) when the tenant is over quota, the
+// queue is full, or ctx ends while waiting. release is idempotent.
 func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiError) {
 	a.mu.Lock()
 	if a.tenants[tenant] >= a.tenantQuota {
@@ -89,29 +90,33 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 	}
 
 	enqueued := time.Now()
-	if n := a.queued.Add(1); n > a.queueDepth {
-		a.queued.Add(-1)
-		releaseTenant()
-		a.shed.Inc()
-		return nil, &apiError{
-			Status:     429,
-			Msg:        fmt.Sprintf("admission queue is full (%d waiting)", a.queueDepth),
-			RetryAfter: a.retryAfter,
-		}
-	}
-	if a.waiting != nil {
-		a.waiting.Set(a.queued.Load())
-	}
 	select {
-	case a.sem <- struct{}{}:
-	case <-ctx.Done():
+	case a.sem <- struct{}{}: // a free slot: never counted as queued
+	default:
+		if n := a.queued.Add(1); n > a.queueDepth {
+			a.queued.Add(-1)
+			releaseTenant()
+			a.shed.Inc()
+			return nil, &apiError{
+				Status:     429,
+				Msg:        fmt.Sprintf("admission queue is full (%d waiting)", a.queueDepth),
+				RetryAfter: a.retryAfter,
+			}
+		}
+		if a.waiting != nil {
+			a.waiting.Set(a.queued.Load())
+		}
+		select {
+		case a.sem <- struct{}{}:
+		case <-ctx.Done():
+			a.queued.Add(-1)
+			releaseTenant()
+			return nil, &apiError{Status: 503, Msg: "canceled while queued for admission", RetryAfter: a.retryAfter}
+		}
 		a.queued.Add(-1)
-		releaseTenant()
-		return nil, &apiError{Status: 503, Msg: "canceled while queued for admission", RetryAfter: a.retryAfter}
-	}
-	a.queued.Add(-1)
-	if a.waiting != nil {
-		a.waiting.Set(a.queued.Load())
+		if a.waiting != nil {
+			a.waiting.Set(a.queued.Load())
+		}
 	}
 	if a.queueWait != nil {
 		a.queueWait.Observe(uint64(time.Since(enqueued).Microseconds()))

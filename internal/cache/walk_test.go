@@ -104,7 +104,9 @@ func checkWalkCoverage[T any](t *testing.T, parent *T, fork func(*T) *T, hash fu
 
 // TestCacheWalkCoverage: under every replacement policy, every Cache and
 // Policies field is either walked (so forked and hashed) or on the
-// attachment/geometry list.
+// attachment/geometry list. The fills touch the even sets only: every
+// per-set array is bumped at element 0, inside touched set 0, and bumping
+// touched[0] moves set 0's mark onto untouched set 1.
 func TestCacheWalkCoverage(t *testing.T) {
 	attached := []string{
 		"cfg", "nslices", "nsets", "ways", "setsPow2", "setMask", "setMagic", "linePow2", "lineShift",
@@ -116,7 +118,10 @@ func TestCacheWalkCoverage(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			c := MustNew(small(k))
 			for i := uint64(0); i < 40; i++ {
-				c.Fill(mem.PAddr(i * 0x240))
+				c.Fill(mem.PAddr(i * 0x80))
+			}
+			if c.touched[0]&3 != 1 {
+				t.Fatalf("touched[0] = %#x, want set 0 touched and set 1 not", c.touched[0])
 			}
 			var present []string
 			for _, a := range attached {

@@ -11,8 +11,9 @@ import (
 // SpecSchema versions the canonical fingerprint encoding. Bumping it
 // invalidates every cached result at once — which is exactly what a change
 // to campaign semantics requires. Version 2: result bodies carry per-point
-// state hashes, and the state-hash definition changed.
-const SpecSchema = "afterimage-campaign/2"
+// state hashes, and the state-hash definition changed. Version 3: it
+// changed again (cache digests fold touched sets only).
+const SpecSchema = "afterimage-campaign/3"
 
 // maxSpecBits bounds a single campaign's secret length so one request
 // cannot monopolise a worker for hours. Larger studies run through the

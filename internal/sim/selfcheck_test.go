@@ -223,13 +223,17 @@ func TestSnapshotRefusedWhileRunning(t *testing.T) {
 // (and invalidates recorded replay checkpoints).
 func TestStateHashGolden(t *testing.T) {
 	m, _, _ := warmMachine(t)
-	// Updated when each component's digest became a walk over whole arrays
-	// in field order (cache, TLB and prefetcher state walks); the definition
-	// change was intentional, and replaying a checkpoint recorded before it
-	// reports divergence.
-	const golden = uint64(0x3a6253219394deda)
-	got := m.StateHash()
-	if got != golden {
+	// Updated when a cache's digest came to fold only the sets it ever
+	// filled; the definition change was intentional, and replaying a
+	// checkpoint recorded before it reports divergence. The dense digest
+	// folds every set whole, exactly as the previous definition did, so it
+	// must still give that definition's golden: the simulated state did not
+	// move with the redefinition.
+	const golden, denseGolden = uint64(0xf51239c474b1e564), uint64(0x3a6253219394deda)
+	if got := m.StateHash(); got != golden {
 		t.Fatalf("state hash %#x, want golden %#x", got, golden)
+	}
+	if got := denseStateHash(m); got != denseGolden {
+		t.Fatalf("dense state hash %#x, want golden %#x", got, denseGolden)
 	}
 }

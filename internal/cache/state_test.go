@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"afterimage/internal/mem"
@@ -105,5 +106,87 @@ func TestBitPLRUCorruptionCaught(t *testing.T) {
 	}
 	if errs := c.Audit(); len(errs) == 0 {
 		t.Fatal("audit missed the Bit-PLRU corruption")
+	}
+}
+
+// untouchedDigest digests, through the cache's own walk, only the sets of
+// c that touched does not mark: a fork of c marking the complement, with
+// the counters zeroed.
+func untouchedDigest(c *Cache, touched []uint64) uint64 {
+	f := c.Fork()
+	for i := range f.touched {
+		f.touched[i] = ^touched[i]
+	}
+	if tail := len(f.vcnt) % 64; tail != 0 {
+		f.touched[len(f.touched)-1] &= 1<<uint(tail) - 1
+	}
+	f.hits, f.misses, f.prefetchFills, f.usefulPrefetch = 0, 0, 0, 0
+	return f.StateHash()
+}
+
+// TestUntouchedSetsArePristine: after a random mix of loads, fills,
+// prefetches, LLC-only fills and flushes through a hierarchy, under every
+// replacement policy, every set a level never marked still equals the set
+// New built, VisitLines finds every valid line and the audit is clean.
+// Dropping the mark from either empty-way fill path (insert or fillMissed)
+// fails it.
+func TestUntouchedSetsArePristine(t *testing.T) {
+	for _, k := range allPolicies {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := HierarchyConfig{
+				L1:  Config{Name: "l1", SizeBytes: 8 << 10, Ways: 4, LineSize: 64, Policy: k, PolicySeed: 1},
+				L2:  Config{Name: "l2", SizeBytes: 32 << 10, Ways: 4, LineSize: 64, Policy: k, PolicySeed: 2},
+				LLC: Config{Name: "llc", SizeBytes: 192 << 10, Ways: 8, LineSize: 64, Policy: k, PolicySeed: 3, Slices: 2},
+			}
+			h, err := NewHierarchy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(k) + 1))
+			pool := make([]mem.PAddr, 96)
+			for i := range pool {
+				pool[i] = mem.PAddr(rng.Int63n(1<<30)) &^ 63
+			}
+			for n := 0; n < 3000; n++ {
+				p := pool[rng.Intn(len(pool))]
+				switch rng.Intn(6) {
+				case 0:
+					h.Fill(p)
+				case 1:
+					h.Prefetch(p)
+				case 2:
+					h.FillLLCOnly(p)
+				case 3:
+					h.Flush(p)
+				default:
+					h.Load(p)
+				}
+			}
+			if errs := h.Audit(); len(errs) != 0 {
+				t.Fatalf("audit: %v", errs)
+			}
+			fresh, _ := NewHierarchy(cfg)
+			for _, lv := range [][2]*Cache{{h.L1, fresh.L1}, {h.L2, fresh.L2}, {h.LLC, fresh.LLC}} {
+				c, built := lv[0], lv[1]
+				if got, want := untouchedDigest(c, c.touched), untouchedDigest(built, c.touched); got != want {
+					t.Errorf("%s: a set never marked touched differs from its built state", c.cfg.Name)
+				}
+				var visited, valid int
+				c.VisitLines(func(uint64) bool { visited++; return true })
+				for _, v := range c.valid {
+					if v {
+						valid++
+					}
+				}
+				if visited != valid {
+					t.Errorf("%s: VisitLines saw %d lines, %d are valid", c.cfg.Name, visited, valid)
+				}
+			}
+			marked := 0
+			h.LLC.eachTouched(func(int) bool { marked++; return true })
+			if marked == 0 || marked == len(h.LLC.vcnt) {
+				t.Fatalf("LLC has %d of %d sets touched; the check needs both kinds", marked, len(h.LLC.vcnt))
+			}
+		})
 	}
 }

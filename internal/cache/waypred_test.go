@@ -115,6 +115,7 @@ func TestWayPredictorBoundaries(t *testing.T) {
 			dst := base + (src-base+1)%c.ways
 			c.lines[dst], c.valid[dst] = c.lines[src], true
 			c.vcnt[g]++
+			c.markTouched(g) // a planted line marks its set like a fill does
 			c = c.Fork()
 			if errs := c.Audit(); len(errs) == 0 {
 				t.Fatal("audit missed the duplicate ways")

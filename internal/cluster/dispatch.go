@@ -309,7 +309,7 @@ func (c *Coordinator) execute(ctx context.Context, w *worker, key string, payloa
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.DispatchTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+ExecutePath, bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(withWorker(ctx, w), http.MethodPost, w.addr+ExecutePath, bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}

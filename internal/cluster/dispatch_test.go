@@ -140,10 +140,9 @@ func TestDispatchRendezvousStability(t *testing.T) {
 }
 
 // TestRankWorkersSpreadsFixedAddresses ranks 12 campaign keys over three
-// workers whose addresses differ only in the port's last digit — the
+// workers whose names (and addresses) differ only in the last digit — the
 // adversarial case for an unmixed rendezvous score — and requires the
-// top-ranked worker to vary. Fixed addresses make the check independent of
-// which ephemeral ports a test run happens to get.
+// top-ranked worker to vary.
 func TestRankWorkersSpreadsFixedAddresses(t *testing.T) {
 	var ws []*worker
 	for _, port := range []string{"30001", "30002", "30003"} {

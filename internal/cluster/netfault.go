@@ -26,10 +26,13 @@ var (
 
 // NetFaultConfig parameterises the deterministic network-fault injector.
 // Like internal/faults, the whole schedule is a pure function of the config:
-// the decision for the n-th request to a host is derived from (Seed, host, n)
-// by detrand.Uniform, so two injectors with equal configs fault the identical
-// requests in the identical ways — every failover path a chaos run takes is
-// reproducible from its seed.
+// the decision for the n-th request to a target is derived from (Seed,
+// target, n) by detrand.Uniform, so two injectors with equal configs fault
+// the identical requests in the identical ways — every failover path a
+// chaos run takes is reproducible from its seed. The target is the worker's
+// registration name for the coordinator's own requests, so the schedule
+// does not depend on which port a worker happens to listen on, and the URL
+// host for any other request.
 type NetFaultConfig struct {
 	// Seed drives every fault decision. Equal seeds replay equal schedules.
 	Seed int64
@@ -51,16 +54,16 @@ type NetFaultConfig struct {
 
 // Injector is a deterministic fault-injecting http.RoundTripper: it wraps a
 // real transport and drops, delays, or duplicates requests on a seeded
-// per-host schedule, plus explicit partitions toggled at runtime (a
+// per-target schedule, plus explicit partitions toggled at runtime (a
 // partitioned host is unreachable until healed). It is safe for concurrent
-// use; each host has its own request sequence counter, so concurrency across
-// hosts never perturbs a host's schedule.
+// use; each target has its own request sequence counter, so concurrency
+// across targets never perturbs a target's schedule.
 type Injector struct {
 	cfg  NetFaultConfig
 	next http.RoundTripper
 
 	mu          sync.Mutex
-	seq         map[string]uint64 // per-host request counter
+	seq         map[string]uint64 // per-target request counter
 	partitioned map[string]bool
 
 	drops, delays, duplicates, partitions *telemetry.Counter
@@ -121,42 +124,55 @@ type netFaultDecision struct {
 }
 
 // decide computes the deterministic fault decision for the n-th request to
-// host. Exported through Schedule for the determinism tests.
-func (cfg NetFaultConfig) decide(host string, n uint64) netFaultDecision {
+// target. Exported through Schedule for the determinism tests.
+func (cfg NetFaultConfig) decide(target string, n uint64) netFaultDecision {
 	var d netFaultDecision
-	if detrand.Uniform(cfg.Seed, n, host, "drop") < cfg.DropRate {
+	if detrand.Uniform(cfg.Seed, n, target, "drop") < cfg.DropRate {
 		d.Drop = true
 		return d // a dropped request is never also delayed or duplicated
 	}
-	if detrand.Uniform(cfg.Seed, n, host, "delay") < cfg.DelayRate {
-		frac := detrand.Uniform(cfg.Seed, n, host, "delay-amount")
+	if detrand.Uniform(cfg.Seed, n, target, "delay") < cfg.DelayRate {
+		frac := detrand.Uniform(cfg.Seed, n, target, "delay-amount")
 		d.Delay = time.Duration(float64(cfg.MaxDelay) * frac)
 	}
-	if detrand.Uniform(cfg.Seed, n, host, "dup") < cfg.DuplicateRate {
+	if detrand.Uniform(cfg.Seed, n, target, "dup") < cfg.DuplicateRate {
 		d.Duplicate = true
 	}
 	return d
 }
 
-// Schedule materialises the first n decisions for host — the determinism
+// Schedule materialises the first n decisions for target — the determinism
 // tests' window into the schedule without performing any I/O. It applies the
 // same MaxDelay default as NewInjector so the prediction matches the live
 // transport.
-func (cfg NetFaultConfig) Schedule(host string, n int) []netFaultDecision {
+func (cfg NetFaultConfig) Schedule(target string, n int) []netFaultDecision {
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 50 * time.Millisecond
 	}
 	out := make([]netFaultDecision, n)
 	for i := range out {
-		out[i] = cfg.decide(host, uint64(i))
+		out[i] = cfg.decide(target, uint64(i))
 	}
 	return out
+}
+
+// workerKey carries a request's worker registration name in its context.
+type workerKey struct{}
+
+// withWorker tags ctx with the worker a coordinator request addresses, the
+// identity the injector keys its schedule by.
+func withWorker(ctx context.Context, w *worker) context.Context {
+	return context.WithValue(ctx, workerKey{}, w.id)
 }
 
 // RoundTrip applies the schedule: partition check, then the seeded
 // drop/delay/duplicate decision, then the wrapped transport.
 func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.URL.Host
+	target, ok := req.Context().Value(workerKey{}).(string)
+	if !ok {
+		target = host
+	}
 	in.mu.Lock()
 	if in.partitioned[host] {
 		in.mu.Unlock()
@@ -164,15 +180,15 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 		drainBody(req)
 		return nil, fmt.Errorf("%w: %s", ErrInjectedPartition, host)
 	}
-	n := in.seq[host]
-	in.seq[host] = n + 1
+	n := in.seq[target]
+	in.seq[target] = n + 1
 	in.mu.Unlock()
 
-	d := in.cfg.decide(host, n)
+	d := in.cfg.decide(target, n)
 	if d.Drop {
 		in.drops.Inc()
 		drainBody(req)
-		return nil, fmt.Errorf("%w: %s request %d", ErrInjectedDrop, host, n)
+		return nil, fmt.Errorf("%w: %s request %d", ErrInjectedDrop, target, n)
 	}
 	if d.Delay > 0 {
 		in.delays.Inc()

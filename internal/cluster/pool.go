@@ -124,13 +124,14 @@ func (p *pool) updateHealthyGauge() {
 }
 
 // rankWorkers orders candidates for a key by rendezvous (highest-random-
-// weight) hashing: every (worker, key) pair gets an FNV-1a score mixed by
-// detrand.Mix64, and workers are sorted descending. Each campaign key
-// therefore has a stable preferred worker for any given membership, shards
-// spread uniformly, and membership changes only remap the keys that hashed
-// to the departed worker. Without the mix, raw FNV-1a scores of workers
-// whose addresses differ in one byte (a port digit) keep nearly the same
-// order whatever key follows, so one worker would win almost every key.
+// weight) hashing: every (worker name, key) pair gets an FNV-1a score mixed
+// by detrand.Mix64, and workers are sorted descending, ties broken by
+// address. Each campaign key therefore has a stable preferred worker for
+// any given membership, whatever ports the workers listen on; shards spread
+// uniformly, and membership changes only remap the keys that hashed to the
+// departed worker. Without the mix, raw FNV-1a scores of workers whose
+// names differ in one byte (w1, w2) keep nearly the same order whatever key
+// follows, so one worker would win almost every key.
 func rankWorkers(workers []*worker, key string) []*worker {
 	type scored struct {
 		w     *worker
@@ -139,7 +140,7 @@ func rankWorkers(workers []*worker, key string) []*worker {
 	ranked := make([]scored, 0, len(workers))
 	for _, w := range workers {
 		h := fnv.New64a()
-		io.WriteString(h, w.addr)
+		io.WriteString(h, w.id)
 		io.WriteString(h, "|")
 		io.WriteString(h, key)
 		ranked = append(ranked, scored{w, detrand.Mix64(h.Sum64())})
@@ -218,7 +219,7 @@ func (r *latencyRing) percentile(p float64) (time.Duration, bool) {
 func (c *Coordinator) probe(w *worker) bool {
 	ctx, cancel := contextWithTimeout(c.cfg.HeartbeatTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.addr+"/healthz", nil)
+	req, err := http.NewRequestWithContext(withWorker(ctx, w), http.MethodGet, w.addr+"/healthz", nil)
 	if err != nil {
 		return false
 	}

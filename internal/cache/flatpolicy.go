@@ -168,8 +168,9 @@ func (pa *Policies) Insert(g, w int) {
 }
 
 // Walk visits the engine's mutable state: per-kind slices (the unused
-// kinds' are nil) and the Random sources at their stream positions. The
-// tree masks, kind, ways and tnodes are geometry, fixed at construction.
+// kinds' are nil) and the Random sources at their stream positions; inside
+// a cache's Rows, one set's share of each. The tree masks, kind, ways and
+// tnodes are geometry, fixed at construction.
 func (pa *Policies) Walk(w statehash.Walk) {
 	w.U64s(&pa.clocks).U64s(&pa.stamps).Bools(&pa.mru).I32s(&pa.ones).U64s(&pa.twords)
 	statehash.Each(w, &pa.srcs, func(s **detrand.Source) {

@@ -173,13 +173,7 @@ func (pa *Policies) Insert(g, w int) {
 // tnodes are geometry, fixed at construction.
 func (pa *Policies) Walk(w statehash.Walk) {
 	w.U64s(&pa.clocks).U64s(&pa.stamps).Bools(&pa.mru).I32s(&pa.ones).U64s(&pa.twords)
-	statehash.Each(w, &pa.srcs, func(s **detrand.Source) {
-		if w.Copies() {
-			*s = (*s).Clone()
-		} else {
-			w.U64((*s).Draws())
-		}
-	})
+	statehash.Each(w, &pa.srcs, func(s **detrand.Source) { w.Source(s) })
 }
 
 // Audit checks set g's structural invariants and returns the first

@@ -12,8 +12,9 @@ import (
 // invalidates every cached result at once — which is exactly what a change
 // to campaign semantics requires. Version 2: result bodies carry per-point
 // state hashes, and the state-hash definition changed. Version 3: it
-// changed again (cache digests fold touched sets only).
-const SpecSchema = "afterimage-campaign/3"
+// changed again (cache digests fold touched sets only). Version 4: the
+// machine digest became the machine's state walk.
+const SpecSchema = "afterimage-campaign/4"
 
 // maxSpecBits bounds a single campaign's secret length so one request
 // cannot monopolise a worker for hours. Larger studies run through the

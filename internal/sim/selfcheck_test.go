@@ -193,6 +193,27 @@ func TestStateHashComparableAcrossMachines(t *testing.T) {
 	}
 }
 
+// TestFailedMmapMovesStateHash: a failed mmap installs no mapping, but it
+// still advances the frame cursor, the mmap cursor and the ASLR stream,
+// and the next mmap depends on all three. So the digest must move. Asking
+// for the whole of physical memory fails whatever the layout.
+func TestFailedMmapMovesStateHash(t *testing.T) {
+	cfg := CoffeeLake(3)
+	a, b := NewMachine(cfg), NewMachine(cfg)
+	pa, pb := a.NewProcess("p"), b.NewProcess("p")
+	if _, err := pb.AS.Mmap(cfg.PhysMem, mem.MapLocked); err == nil {
+		t.Fatal("an mmap of all physical memory succeeded")
+	}
+	if a.StateHash() == b.StateHash() {
+		t.Fatal("a failed mmap left the state hash unchanged")
+	}
+	_, errA := pa.AS.Mmap(mem.PageSize, mem.MapLocked)
+	_, errB := pb.AS.Mmap(mem.PageSize, mem.MapLocked)
+	if errA != nil || errB == nil {
+		t.Fatalf("next one-page mmap: %v on the clean machine, %v after the failed one; want success, then exhaustion", errA, errB)
+	}
+}
+
 // TestSnapshotRefusedWhileRunning pins the state-copy refusal on a
 // single-core machine: a Fork taken from inside a task fails with a typed
 // api-misuse fault, and the refusal leaves the machine intact — once the
@@ -223,13 +244,13 @@ func TestSnapshotRefusedWhileRunning(t *testing.T) {
 // (and invalidates recorded replay checkpoints).
 func TestStateHashGolden(t *testing.T) {
 	m, _, _ := warmMachine(t)
-	// Updated when a cache's digest came to fold only the sets it ever
-	// filled; the definition change was intentional, and replaying a
-	// checkpoint recorded before it reports divergence. The dense digest
-	// folds every set whole, exactly as the previous definition did, so it
-	// must still give that definition's golden: the simulated state did not
-	// move with the redefinition.
-	const golden, denseGolden = uint64(0xf51239c474b1e564), uint64(0x3a6253219394deda)
+	// Updated when the machine digest became Machine.walk, which also folds
+	// the frame, ASID and mmap cursors and the ASLR stream positions; only
+	// the "machine" component moved, and replaying a checkpoint recorded
+	// before it reports divergence. The dense digest folds every cache set
+	// whole, as the definition before sparse cache digests did, so the two
+	// goldens differ only in how the caches are folded.
+	const golden, denseGolden = uint64(0xc9d386304104764e), uint64(0x8c4bef69dfe999d8)
 	if got := m.StateHash(); got != golden {
 		t.Fatalf("state hash %#x, want golden %#x", got, golden)
 	}

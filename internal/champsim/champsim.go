@@ -127,19 +127,15 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Fork returns an independent deep copy of the simulator: caches, TLB and
-// prefetcher suite fork (see their Fork methods), the accumulated result
-// and flush schedule copy. Replaying the same records on the fork and on
-// an identically configured fresh simulator produces identical results.
+// Fork returns an independent deep copy of the simulator: a struct copy
+// carries the config, the accumulated result and the flush schedule, and
+// the caches, TLB and prefetcher suite fork (see their Fork methods).
+// Replaying the same records on the fork and on an identically configured
+// fresh simulator produces identical results.
 func (s *Simulator) Fork() *Simulator {
-	return &Simulator{
-		cfg:       s.cfg,
-		mem:       s.mem.Fork(),
-		tlb:       s.tlb.Fork(),
-		pref:      s.pref.Fork(),
-		nextFlush: s.nextFlush,
-		res:       s.res,
-	}
+	f := *s
+	f.mem, f.tlb, f.pref = s.mem.Fork(), s.tlb.Fork(), s.pref.Fork()
+	return &f
 }
 
 // SetFlushInterval reconfigures the periodic clear-ip-prefetcher
@@ -255,8 +251,8 @@ func RunApp(cfg Config, p trace.Profile, n int, flushInterval uint64, seed int64
 	records := trace.NewGenerator(p, seed).Generate(n)
 
 	// Build the hierarchy/TLB/suite once and fork the two variants off the
-	// pristine base — bit-identical to three New(cfg) calls (the property
-	// the fork-equivalence suite gates) at a third of the setup cost. The
+	// pristine base — bit-identical to three New(cfg) calls
+	// (TestRunAppMatchesFreshSimulators) at a third of the setup cost. The
 	// forks must happen before base.Run mutates any shared-at-build state.
 	base, err := New(cfg)
 	if err != nil {

@@ -156,3 +156,30 @@ func TestPrefetchAccuracyZeroWhenNoFills(t *testing.T) {
 		t.Fatal("empty result accuracy nonzero")
 	}
 }
+
+// TestRunAppMatchesFreshSimulators: RunApp forks its mitigated and
+// no-prefetch variants off one pristine simulator; each must replay
+// exactly as a freshly built New(cfg) with the same setting applied.
+func TestRunAppMatchesFreshSimulators(t *testing.T) {
+	cfg := DefaultConfig()
+	const n, interval, seed = 40_000, 30_000, 7
+	for _, p := range []trace.Profile{trace.SPECLike()[0], trace.SPECLike()[8]} {
+		got, err := RunApp(cfg, p, n, interval, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := trace.NewGenerator(p, seed).Generate(n)
+		base, _ := New(cfg)
+		mit, _ := New(cfg)
+		mit.SetFlushInterval(interval)
+		nop, _ := New(cfg)
+		nop.DisableIPStride()
+		want := AppResult{Profile: p, Base: base.Run(records), Mitigated: mit.Run(records), NoPrefetch: nop.Run(records)}
+		if got.Base != want.Base || got.Mitigated != want.Mitigated || got.NoPrefetch != want.NoPrefetch {
+			t.Fatalf("%s: RunApp %+v, fresh simulators %+v", p.Name, got, want)
+		}
+		if got.Mitigated.Flushes == 0 {
+			t.Fatalf("%s: the mitigated run never flushed", p.Name)
+		}
+	}
+}

@@ -1,109 +1,23 @@
 package prefetcher
 
 import (
-	"reflect"
-	"strings"
 	"testing"
-	"unsafe"
+
+	"afterimage/internal/walktest"
 )
 
-// leaves calls fn with the path and a settable value of every leaf under
-// v: scalars, element 0 of each non-empty slice, empty slices and nil
-// pointers; non-nil pointers are followed. Unexported fields are reached
-// through unsafe.
-func leaves(v reflect.Value, path string, fn func(string, reflect.Value)) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
-			leaves(f, strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), fn)
-		}
-	case reflect.Pointer:
-		if v.IsNil() {
-			fn(path, v)
-		} else {
-			leaves(v.Elem(), path, fn)
-		}
-	case reflect.Slice:
-		if v.Len() == 0 {
-			fn(path, v)
-		} else {
-			leaves(v.Index(0), path+"[0]", fn)
-		}
-	default:
-		fn(path, v)
+// ipstrideAttached lists the IP-stride table's geometry and attachments,
+// under prefix.
+func ipstrideAttached(prefix string) walktest.Attached {
+	const pgeom = "replacement-engine geometry, fixed at construction"
+	const masks = "Tree-PLRU touch masks, fixed at construction"
+	return walktest.Attached{
+		prefix + "cfg":         "configuration, fixed at construction",
+		prefix + "mask":        "index mask, derived from the configuration",
+		prefix + "tel":         "telemetry hub: a per-machine attachment, re-pointed by SetTelemetry",
+		prefix + "policy.kind": pgeom, prefix + "policy.ways": pgeom, prefix + "policy.tnodes": pgeom,
+		prefix + "policy.tsetM": masks, prefix + "policy.tclrM": masks,
 	}
-}
-
-// bump changes a leaf: flips a bool, increments a number, grows an empty
-// slice by one zero (or freshly allocated) element.
-func bump(t *testing.T, path string, v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(!v.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(v.Int() + 1)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(v.Uint() + 1)
-	case reflect.Slice:
-		e := reflect.Zero(v.Type().Elem())
-		if v.Type().Elem().Kind() == reflect.Pointer {
-			e = reflect.New(v.Type().Elem().Elem())
-		}
-		v.Set(reflect.Append(v, e))
-	default:
-		t.Fatalf("%s: no mutation for kind %v; classify the field", path, v.Kind())
-	}
-}
-
-// checkWalkCoverage mutates, on a fresh fork of parent, every leaf that is
-// not under a key of attached (per-machine attachments and immutable
-// geometry, by path prefix). Each mutation must move the fork's digest and
-// leave the parent's alone: a field nobody walks, or one the fork shares
-// with its parent, fails. Every attached key must still name a field.
-func checkWalkCoverage[T any](t *testing.T, parent *T, fork func(*T) *T, hash func(*T) uint64, attached []string) {
-	t.Helper()
-	under := func(p, k string) bool {
-		return p == k || strings.HasPrefix(p, k+".") || strings.HasPrefix(p, k+"[")
-	}
-	used := map[string]bool{}
-	var paths []string
-	leaves(reflect.ValueOf(parent).Elem(), "", func(p string, _ reflect.Value) {
-		for _, k := range attached {
-			if under(p, k) {
-				used[k] = true
-				return
-			}
-		}
-		paths = append(paths, p)
-	})
-	for _, k := range attached {
-		if !used[k] {
-			t.Errorf("attached field %s no longer exists", k)
-		}
-	}
-	want := hash(parent)
-	for _, p := range paths {
-		f := fork(parent)
-		leaves(reflect.ValueOf(f).Elem(), "", func(q string, v reflect.Value) {
-			if q == p {
-				bump(t, p, v)
-			}
-		})
-		if hash(f) == want {
-			t.Errorf("%s: mutating it leaves StateHash unchanged; walk it or classify it", p)
-		}
-		if hash(parent) != want {
-			t.Fatalf("%s: mutating it on a fork changed the parent", p)
-		}
-	}
-}
-
-// ipstrideAttached lists the IP-stride table's geometry and attachments.
-var ipstrideAttached = []string{
-	"cfg", "mask", "tel",
-	"policy.kind", "policy.ways", "policy.tsetM", "policy.tclrM", "policy.tnodes",
 }
 
 // TestSuiteWalkCoverage: every Suite field — the IP-stride table's and the
@@ -112,11 +26,9 @@ var ipstrideAttached = []string{
 func TestSuiteWalkCoverage(t *testing.T) {
 	s := forkTestSuite()
 	warmSuite(s, 500)
-	attached := []string{"scratch"}
-	for _, k := range ipstrideAttached {
-		attached = append(attached, "IPStride."+k)
-	}
-	checkWalkCoverage(t, s, (*Suite).Fork, (*Suite).StateHash, attached)
+	attached := ipstrideAttached("IPStride.")
+	attached["scratch"] = "request scratch: Fork empties it, it holds nothing between loads"
+	walktest.Check(t, s, (*Suite).Fork, (*Suite).StateHash, attached)
 }
 
 // TestIPStrideWalkCoverage: the same for a standalone IP-stride table,
@@ -125,5 +37,5 @@ func TestSuiteWalkCoverage(t *testing.T) {
 func TestIPStrideWalkCoverage(t *testing.T) {
 	p := newDefault()
 	feed(p, 0x400000, 0x1000, 0x1040, 0x1080)
-	checkWalkCoverage(t, p, (*IPStride).Fork, (*IPStride).StateHash, ipstrideAttached)
+	walktest.Check(t, p, (*IPStride).Fork, (*IPStride).StateHash, ipstrideAttached(""))
 }

@@ -53,7 +53,7 @@ func TestHierarchyForkBitIdentical(t *testing.T) {
 }
 
 // TestCacheForkDropsWayPredictor: Fork resets the one-entry way-predictor
-// memo exactly as Restore does. The memo caches only a location, so its
+// memo. The memo caches only a location, so its
 // absence must not change observable state — verified by the hash equality
 // in TestHierarchyForkBitIdentical; here we pin the reset itself.
 func TestCacheForkDropsWayPredictor(t *testing.T) {

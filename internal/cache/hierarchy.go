@@ -129,10 +129,6 @@ func (h *Hierarchy) Probe(p mem.PAddr) Level {
 	}
 }
 
-// ProbeLatency reports the latency a load of p would observe, without
-// changing state.
-func (h *Hierarchy) ProbeLatency(p mem.PAddr) uint64 { return h.Lat.Of(h.Probe(p)) }
-
 // Fill installs the line of p into every level, maintaining inclusivity.
 // Prefetchers use this as the fill path for prefetch requests.
 func (h *Hierarchy) Fill(p mem.PAddr) {

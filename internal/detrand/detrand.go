@@ -2,10 +2,9 @@
 // becomes copyable and hashable. math/rand exposes no way to serialise a
 // generator's position, but every generator here is (a) seeded from a known
 // value and (b) consumed strictly sequentially, so its full state is (seed,
-// number of draws): restoring is reseeding and discarding that many draws.
-// This is what lets Machine.Fork clone the jitter/noise RNGs mid-stream and
-// Machine.StateHash digest their positions, keeping forked and replayed runs
-// bit-identical.
+// number of draws): copying is reseeding and discarding that many draws.
+// This is what lets a fork clone an RNG mid-stream and a state hash digest
+// its position, keeping forked and replayed runs bit-identical.
 //
 // The wrapper is stream-identical to rand.New(rand.NewSource(seed)): it
 // implements rand.Source64 and delegates both Int63 and Uint64 to the
@@ -65,31 +64,20 @@ func (s *Source) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// SeedValue returns the seed the source was last seeded with.
-func (s *Source) SeedValue() int64 { return s.seed }
-
 // Draws reports how many values have been drawn since the last (re)seed —
 // together with the seed, the source's complete serialisable state.
 func (s *Source) Draws() uint64 { return s.draws }
 
-// Restore rewinds (or fast-forwards) the source to an absolute position:
-// reseed with the original seed, then discard draws values. Afterwards the
-// stream continues exactly as it did when Draws() last reported that count.
-func (s *Source) Restore(draws uint64) {
-	s.src.Seed(s.seed)
-	for i := uint64(0); i < draws; i++ {
-		s.src.Uint64()
-	}
-	s.draws = draws
-}
-
-// Clone returns an independent source at the same stream position: same
-// seed, same draw count, separate underlying generator. The clone and the
-// original produce identical subsequent streams without sharing state —
-// the primitive Machine.Fork uses to make forks RNG-independent.
+// Clone returns an independent source at the same stream position: the
+// same seed, fast-forwarded by the same number of draws on a separate
+// underlying generator. The clone and the original produce identical
+// subsequent streams without sharing state — the primitive every fork uses
+// to make its copies RNG-independent.
 func (s *Source) Clone() *Source {
 	c := NewSource(s.seed)
-	c.Restore(s.draws)
+	for c.draws < s.draws {
+		c.Uint64()
+	}
 	return c
 }
 

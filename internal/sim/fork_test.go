@@ -4,7 +4,7 @@ import "testing"
 
 // Forked-machine selfcheck suite: Machine.Fork must hand back a machine the
 // full invariant registry accepts (TLB coherence under the copied ASIDs,
-// noise-region identity, distinct spaces) and on which every corruption
+// noise-region translation, distinct spaces) and on which every corruption
 // class is still caught — with corruption on either side of the fork
 // invisible to the other.
 
